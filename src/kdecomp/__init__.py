@@ -74,15 +74,7 @@ from .homology import (
     oracle_quotient_reg_pd,
     reduced_homology_dims,
 )
-from .monomials import (
-    Monomial,
-    MonomialIdeal,
-    VariableContext,
-    colon_monomial,
-    minimalize,
-    monomial_of_set,
-    support,
-)
+from .monomials import Monomial, MonomialIdeal, VariableContext
 from .resolution import (
     QuotientOrder,
     betti_from_order,

@@ -107,13 +107,3 @@ class BettiTable:
     def __repr__(self) -> str:
         tag = "minimal" if self.minimal else "unverified"
         return f"BettiTable({dict(self.items())!r}, {tag})"
-
-
-def merge(tables_with_multiplicity) -> dict[tuple[int, int], int]:
-    """Commutative sum of (table, multiplicity, (di, dj)) shifts."""
-    out: dict[tuple[int, int], int] = {}
-    for table, mult, (di, dj) in tables_with_multiplicity:
-        for (i, j), c in table.items():
-            key = (i + di, j + dj)
-            out[key] = out.get(key, 0) + mult * c
-    return out

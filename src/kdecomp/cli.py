@@ -61,9 +61,11 @@ def _parse_field(text: str):
     if text == "rational":
         return None
     try:
-        return int(text)
+        field = int(text)
+        ho.check_field(field)
     except ValueError:
         raise DocumentError(f"field must be 'rational' or a prime, got {text!r}") from None
+    return field
 
 
 def _cmd_dual(args) -> int:
@@ -120,6 +122,8 @@ def _cmd_betti(args) -> int:
 def _cmd_decompose(args) -> int:
     parsed = _read_document(args.file)
     k = args.k
+    if k < -1:
+        raise DocumentError(f"--k must be -1 (no bound) or at least 0, got {k}")
     if parsed.kind == "ideal":
         if args.mode == "dual":
             raise DocumentError("dual mode applies to complexes only")
@@ -222,6 +226,12 @@ def _cmd_clutter(args) -> int:
 
     if args.clutter_cmd == "minor":
         trace = doc.parse_ops(args.ops, ctx)
+        remaining = set(clutter.vertices)
+        for step in trace:
+            if step.vertex not in remaining:
+                name = ctx.names[step.vertex]
+                raise DocumentError(f"{name!r} is not a vertex of the minor")
+            remaining.remove(step.vertex)
         out = cl.apply_trace(clutter, trace)
         if args.json:
             _emit_json(doc.emit_object(out))
@@ -234,6 +244,8 @@ def _cmd_clutter(args) -> int:
         x = ctx.index(args.vertex)
     except KeyError:
         raise DocumentError(f"unknown vertex {args.vertex!r}") from None
+    if x not in clutter.vertices:
+        raise DocumentError(f"{args.vertex!r} is not a vertex of the clutter")
     edge = frozenset(
         doc.vertex_list([v.strip() for v in args.edge.split(",")], ctx, "edge")
     )

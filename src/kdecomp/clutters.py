@@ -14,6 +14,7 @@ from itertools import combinations
 from typing import Iterable
 
 from .complexes import (
+    antichain,
     complex_from_nonfaces,
     delete_face,
     link,
@@ -60,7 +61,7 @@ class Clutter:
         for e in edge_sets:
             if len(e) < 2:
                 raise ValueError(f"user edges need at least two vertices: {sorted(e)}")
-        minimal = _minimal_sets(edge_sets)
+        minimal = antichain(edge_sets, minimal=True)
         union = frozenset().union(*minimal) if minimal else frozenset()
         declared = union if vertices is None else union | frozenset(vertices)
         return cls(ctx, declared, minimal)
@@ -82,11 +83,6 @@ class Clutter:
             "{" + ",".join(names(e)) + "}" for e in sorted(self.edges, key=sorted)
         )
         return f"clutter({verts}; [{edges}])"
-
-
-def _minimal_sets(sets: Iterable[frozenset]) -> frozenset[frozenset]:
-    distinct = set(sets)
-    return frozenset(s for s in distinct if not any(o < s for o in distinct))
 
 
 def deletion(clutter: Clutter, v: int) -> Clutter:
@@ -111,7 +107,7 @@ def contraction(clutter: Clutter, v: int) -> Clutter:
     return Clutter(
         clutter.ctx,
         clutter.vertices - {v},
-        _minimal_sets(e - {v} for e in clutter.edges),
+        antichain((e - {v} for e in clutter.edges), minimal=True),
     )
 
 

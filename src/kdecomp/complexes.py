@@ -27,11 +27,13 @@ from .monomials import MonomialIdeal, VariableContext
 VertexSet = frozenset[int]
 
 
-def _maximal_sets(sets: Iterable[frozenset]) -> frozenset[frozenset]:
+def antichain(sets: Iterable[frozenset], minimal: bool = False) -> frozenset[frozenset]:
+    """The inclusion-maximal members of `sets`, or the inclusion-minimal
+    ones when `minimal` is set; duplicates count once."""
     distinct = set(sets)
-    return frozenset(
-        s for s in distinct if not any(s < other for other in distinct)
-    )
+    if minimal:
+        return frozenset(s for s in distinct if not any(o < s for o in distinct))
+    return frozenset(s for s in distinct if not any(s < o for o in distinct))
 
 
 @dataclass(frozen=True)
@@ -63,7 +65,7 @@ class SimplicialComplex:
         `vertices` may only enlarge the vertex set beyond the union of the
         facets; this is how duals remember their ambient vertex set.
         """
-        maximal = _maximal_sets(frozenset(f) for f in facets)
+        maximal = antichain(frozenset(f) for f in facets)
         union = frozenset().union(*maximal) if maximal else frozenset()
         declared = union if vertices is None else union | frozenset(vertices)
         return cls(ctx, declared, maximal)
@@ -241,15 +243,10 @@ def alexander_dual_ideal(ideal: MonomialIdeal) -> MonomialIdeal:
                 extended.add(cover)
             else:
                 extended.update(cover | {v} for v in supp)
-        covers = set(_maximal_minimal(extended))
+        covers = antichain(extended, minimal=True)
     return MonomialIdeal.from_monomials(
         ideal.ctx, (ideal.ctx.monomial_of_set(c) for c in covers)
     )
-
-
-def _maximal_minimal(sets: set[frozenset]) -> list[frozenset]:
-    # inclusion-minimal members
-    return [s for s in sets if not any(other < s for other in sets)]
 
 
 def link(delta: SimplicialComplex, face: Iterable[int]) -> SimplicialComplex:
@@ -260,7 +257,7 @@ def link(delta: SimplicialComplex, face: Iterable[int]) -> SimplicialComplex:
     if not face:
         return delta
     reduced = [f - face for f in delta.facets if face <= f]
-    return SimplicialComplex.from_facets(delta.ctx, _maximal_sets(reduced))
+    return SimplicialComplex.from_facets(delta.ctx, reduced)
 
 
 def delete_face(delta: SimplicialComplex, face: Iterable[int]) -> SimplicialComplex:
@@ -281,9 +278,7 @@ def delete_face(delta: SimplicialComplex, face: Iterable[int]) -> SimplicialComp
         else:
             survivors.append(f)
     new_vertices = delta.vertices - face if len(face) == 1 else delta.vertices
-    return SimplicialComplex.from_facets(
-        delta.ctx, _maximal_sets(survivors), vertices=new_vertices
-    )
+    return SimplicialComplex.from_facets(delta.ctx, survivors, vertices=new_vertices)
 
 
 def induced_subcomplex(delta: SimplicialComplex, vertices: Iterable[int]) -> SimplicialComplex:
@@ -293,6 +288,4 @@ def induced_subcomplex(delta: SimplicialComplex, vertices: Iterable[int]) -> Sim
         raise ValueError("restriction set must be a subset of the vertices")
     if delta.is_void:
         return delta
-    return SimplicialComplex.from_facets(
-        delta.ctx, _maximal_sets(f & w for f in delta.facets)
-    )
+    return SimplicialComplex.from_facets(delta.ctx, (f & w for f in delta.facets))

@@ -42,8 +42,10 @@ def split(ideal: MonomialIdeal, u: Monomial) -> tuple[MonomialIdeal, MonomialIde
     """Partition G(I) into (I^u, I_u) by the predicate [u, .]."""
     if u.is_one:
         raise ValueError("cannot split along u = 1")
-    upper = [g for g in ideal.gens if not matches(u, g)]
-    lower = [g for g in ideal.gens if matches(u, g)]
+    upper: list[Monomial] = []
+    lower: list[Monomial] = []
+    for g in ideal.gens:
+        (lower if matches(u, g) else upper).append(g)
     return (
         MonomialIdeal(ideal.ctx, tuple(upper)),
         MonomialIdeal(ideal.ctx, tuple(lower)),
@@ -53,17 +55,24 @@ def split(ideal: MonomialIdeal, u: Monomial) -> tuple[MonomialIdeal, MonomialIde
 def is_shedding_monomial(ideal: MonomialIdeal, u: Monomial) -> bool:
     """u sheds I when I_u != 0 and every generator of I_u is one colon step
     away from some generator of I^u, in every support variable of u."""
+    return _shedding_split(ideal, u) is not None
+
+
+def _shedding_split(
+    ideal: MonomialIdeal, u: Monomial
+) -> tuple[MonomialIdeal, MonomialIdeal] | None:
+    """The split (I^u, I_u) when u sheds I, else None."""
     upper, lower = split(ideal, u)
     if lower.is_zero:
-        return False
+        return None
     if upper.is_zero:
-        return False  # the required witnesses cannot exist
+        return None  # the required witnesses cannot exist
     for m in lower.gens:
         for var in sorted(u.support):
             target = ideal.ctx.variable(var)
             if not any(g.colon(m) == target for g in upper.gens):
-                return False
-    return True
+                return None
+    return upper, lower
 
 
 @dataclass(frozen=True)
@@ -118,9 +127,10 @@ def _verify_ideal_node(cert: IdealCertificate, ideal: MonomialIdeal, k: int) -> 
         raise InvalidCertificateError(
             f"|supp(u)| = {len(u.support)} exceeds k + 1 = {k + 1}"
         )
-    if not is_shedding_monomial(ideal, u):
+    parts = _shedding_split(ideal, u)
+    if parts is None:
         raise InvalidCertificateError(f"{u} is not a shedding monomial here")
-    upper, lower = split(ideal, u)
+    upper, lower = parts
     if set(certificate_generators(cert.deletion)) != set(upper.gens):
         raise InvalidCertificateError("deletion subtree does not match I^u")
     if set(certificate_generators(cert.link)) != set(lower.gens):
@@ -191,16 +201,17 @@ def k_decomposable_ideal(
 def _search_ideal(ideal, k, memo, budget) -> IdealCertificate | None:
     if len(ideal.gens) == 1:
         return IdealLeaf(ideal.gens[0])
-    key = (tuple(g.exponents for g in ideal.gens), k)
+    key = (ideal.ctx, tuple(g.exponents for g in ideal.gens), k)
     if key in memo:
         return memo[key]
     budget.spend()
     cap = ideal.ctx.n if k < 0 else k + 1
     result = None
     for u in _shedding_candidates(ideal, cap):
-        if not is_shedding_monomial(ideal, u):
+        parts = _shedding_split(ideal, u)
+        if parts is None:
             continue
-        upper, lower = split(ideal, u)
+        upper, lower = parts
         left = _search_ideal(upper, k, memo, budget)
         if left is None:
             continue
@@ -221,7 +232,13 @@ def is_shedding_face(delta: SimplicialComplex, sigma) -> bool:
         raise ValueError("a shedding face must be nonempty")
     if not delta.has_face(sigma):
         raise NotAFaceError(f"{sorted(sigma)} is not a face")
-    faces = delta.faces()
+    return _is_shedding_face(delta, sigma, delta.faces())
+
+
+def _is_shedding_face(
+    delta: SimplicialComplex, sigma: frozenset[int], faces: frozenset[frozenset[int]]
+) -> bool:
+    """The exchange test for a nonempty face sigma, given all faces of delta."""
     vertices = delta.vertices
     for tau in faces:
         if not sigma <= tau:
@@ -271,7 +288,7 @@ def verify_complex_certificate(
         )
     if not delta.has_face(sigma):
         raise InvalidCertificateError(f"{sorted(sigma)} is not a face")
-    if not is_shedding_face(delta, sigma):
+    if not _is_shedding_face(delta, sigma, delta.faces()):
         raise InvalidCertificateError(f"{sorted(sigma)} is not a shedding face")
     verify_complex_certificate(delete_face(delta, sigma), cert.deletion, k)
     verify_complex_certificate(link(delta, sigma), cert.link, k)
@@ -348,13 +365,12 @@ def _search_complex(delta, k, memo, budget) -> ComplexCertificate | None:
         return memo[key]
     budget.spend()
     cap = len(delta.vertices) if k < 0 else k + 1
-    faces = sorted(
-        (tuple(sorted(f)) for f in delta.faces() if 0 < len(f) <= cap),
-    )
+    faces = delta.faces()
+    candidates = sorted(tuple(sorted(f)) for f in faces if 0 < len(f) <= cap)
     result = None
-    for face in faces:
+    for face in candidates:
         sigma = frozenset(face)
-        if not is_shedding_face(delta, sigma):
+        if not _is_shedding_face(delta, sigma, faces):
             continue
         left = _search_complex(delete_face(delta, sigma), k, memo, budget)
         if left is None:

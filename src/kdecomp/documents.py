@@ -101,7 +101,10 @@ def parse_object(obj) -> ParsedDocument:
             if isinstance(item, str):
                 gens.append(monomial_from_string(item, ctx))
             elif isinstance(item, list):
-                if len(item) != ctx.n or not all(isinstance(e, int) for e in item):
+                # bool is a subclass of int, but true is not an exponent
+                if len(item) != ctx.n or not all(
+                    type(e) is int and e >= 0 for e in item
+                ):
                     raise DocumentError(f"bad exponent list {item!r}")
                 gens.append(ctx.monomial(item))
             else:
@@ -143,10 +146,6 @@ def parse_object(obj) -> ParsedDocument:
     return ParsedDocument("clutter", value, warnings)
 
 
-def _names(ctx: VariableContext, vertices) -> list[str]:
-    return [ctx.names[v] for v in sorted(vertices)]
-
-
 def emit_object(value) -> dict:
     """Document form of a core value; parse(emit(v)) is semantically v."""
     if isinstance(value, MonomialIdeal):
@@ -159,21 +158,21 @@ def emit_object(value) -> dict:
         out = {
             "kind": "complex",
             "vars": list(value.ctx.names),
-            "facets": [_names(value.ctx, f) for f in sorted(value.facets, key=sorted)],
+            "facets": [value.ctx.set_names(f) for f in sorted(value.facets, key=sorted)],
         }
         union = frozenset().union(*value.facets) if value.facets else frozenset()
         if value.vertices != union:
-            out["vertices"] = _names(value.ctx, value.vertices)
+            out["vertices"] = value.ctx.set_names(value.vertices)
         return out
     if isinstance(value, Clutter):
         out = {
             "kind": "clutter",
             "vars": list(value.ctx.names),
-            "edges": [_names(value.ctx, e) for e in sorted(value.edges, key=sorted)],
+            "edges": [value.ctx.set_names(e) for e in sorted(value.edges, key=sorted)],
         }
         union = frozenset().union(*value.edges) if value.edges else frozenset()
         if value.vertices != union:
-            out["vertices"] = _names(value.ctx, value.vertices)
+            out["vertices"] = value.ctx.set_names(value.vertices)
         return out
     raise TypeError(f"cannot emit {type(value).__name__}")
 
@@ -191,11 +190,11 @@ def ideal_certificate_object(cert: IdealCertificate) -> dict:
 
 def complex_certificate_object(cert: ComplexCertificate, ctx: VariableContext) -> dict:
     if isinstance(cert, ComplexLeaf):
-        facet = None if cert.facet is None else _names(ctx, cert.facet)
+        facet = None if cert.facet is None else ctx.set_names(cert.facet)
         return {"kind": "leaf", "facet": facet}
     return {
         "kind": "node",
-        "sigma": _names(ctx, cert.sigma),
+        "sigma": ctx.set_names(cert.sigma),
         "deletion": complex_certificate_object(cert.deletion, ctx),
         "link": complex_certificate_object(cert.link, ctx),
     }
@@ -223,8 +222,8 @@ def complex_certificate_text(
     if isinstance(cert, ComplexLeaf):
         if cert.facet is None:
             return f"{pad}leaf: void"
-        return f"{pad}leaf: {{{','.join(_names(ctx, cert.facet))}}}"
-    sigma = ",".join(_names(ctx, cert.sigma))
+        return f"{pad}leaf: {{{','.join(ctx.set_names(cert.facet))}}}"
+    sigma = ",".join(ctx.set_names(cert.sigma))
     return "\n".join(
         [
             f"{pad}sigma = {{{sigma}}}",

@@ -21,7 +21,8 @@ VERTEX_BUDGET = 20
 LCM_DEGREE_BUDGET = 24
 
 
-def _check_field(field):
+def check_field(field) -> None:
+    """Raise ValueError unless `field` is None (the rationals) or a prime."""
     if field is None:
         return
     if not isinstance(field, int) or field < 2:
@@ -142,7 +143,7 @@ def homology_dims_from_masks(face_masks, field=None) -> list[int]:
 
 def reduced_homology_dims(delta: SimplicialComplex, field=None) -> list[int]:
     """Reduced simplicial homology dimensions of `delta`, degree -1 first."""
-    _check_field(field)
+    check_field(field)
     if len(delta.vertices) > VERTEX_BUDGET:
         raise BudgetExceededError(
             f"homology budget is {VERTEX_BUDGET} vertices, got {len(delta.vertices)}"
@@ -163,26 +164,14 @@ def reduced_homology_dims(delta: SimplicialComplex, field=None) -> list[int]:
     return homology_dims_from_masks(masks, field)
 
 
-def induced_subcomplex(delta: SimplicialComplex, vertices) -> SimplicialComplex:
-    """Restriction of the complex to the faces inside `vertices`."""
-    from .complexes import induced_subcomplex as _induced
-
-    return _induced(delta, vertices)
-
-
 _hochster_cache: dict = {}
 _koszul_cache: dict = {}
-
-
-def clear_oracle_cache() -> None:
-    _hochster_cache.clear()
-    _koszul_cache.clear()
 
 
 def betti_hochster(ideal: MonomialIdeal, field=None) -> BettiTable:
     """Graded Betti numbers of a squarefree ideal from induced-subcomplex
     homology of its nonface complex, summed over vertex subsets."""
-    _check_field(field)
+    check_field(field)
     if ideal.is_zero:
         raise ZeroIdealError("Betti numbers need a nonzero ideal")
     if not ideal.is_squarefree:
@@ -261,7 +250,7 @@ def betti_koszul(
     `all_multidegrees` switch scans the full box below the generator lcm
     instead, as a self-check.
     """
-    _check_field(field)
+    check_field(field)
     if ideal.is_zero:
         raise ZeroIdealError("Betti numbers need a nonzero ideal")
     key = (tuple(g.exponents for g in ideal.gens), field, all_multidegrees)

@@ -141,19 +141,6 @@ class Monomial:
         return "*".join(parts)
 
 
-def colon_monomial(f: Monomial, g: Monomial) -> Monomial:
-    """The colon f : g = f / gcd(f, g)."""
-    return f.colon(g)
-
-
-def support(f: Monomial) -> frozenset[int]:
-    return f.support
-
-
-def monomial_of_set(ctx: VariableContext, vertices: Iterable[int]) -> Monomial:
-    return ctx.monomial_of_set(vertices)
-
-
 def minimal_monomials(monomials: Iterable[Monomial]) -> list[Monomial]:
     """Drop every monomial strictly divisible by another; canonical order.
 
@@ -219,8 +206,3 @@ class MonomialIdeal:
         if self.is_zero:
             return "(0)"
         return "(" + ", ".join(str(g) for g in self.gens) + ")"
-
-
-def minimalize(ctx: VariableContext, monomials: Iterable[Monomial]) -> MonomialIdeal:
-    """Public constructor enforcing the minimal-generating-set invariant."""
-    return MonomialIdeal.from_monomials(ctx, monomials)

@@ -25,7 +25,7 @@ from .decomposition import (
     verify_ideal_certificate,
 )
 from .errors import InvalidCertificateError, ZeroIdealError
-from .homology import betti_hochster, oracle_ideal_table
+from .homology import betti_hochster
 from .monomials import Monomial, MonomialIdeal, minimal_monomials
 
 
@@ -240,8 +240,3 @@ def bight(ideal: MonomialIdeal) -> int:
     if ideal.is_zero:
         raise ZeroIdealError("the zero ideal has no minimal primes")
     return max(g.degree for g in alexander_dual_ideal(ideal).gens)
-
-
-def oracle_betti(ideal: MonomialIdeal, field=None) -> BettiTable:
-    """Convenience re-export of the ground-truth table."""
-    return oracle_ideal_table(ideal, field)

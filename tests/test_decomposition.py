@@ -10,6 +10,7 @@ from kdecomp import (
     ComplexLeaf,
     ComplexNode,
     InvalidCertificateError,
+    MonomialIdeal,
     NotAFaceError,
     SimplicialComplex,
     VariableContext,
@@ -212,3 +213,16 @@ def test_budget_raises(ctx4):
     i = random_monomial_ideal(rng, ctx4, 8, 3)
     with pytest.raises(BudgetExceededError):
         k_decomposable_ideal(i, 2, node_budget=0)
+
+
+def test_shared_memo_keeps_contexts_apart():
+    # The same exponents in two contexts, searched with one memo: the
+    # second search must not return the first context's certificate.
+    exponents = [(1, 1, 0), (1, 0, 1), (0, 1, 1)]
+    memo: dict = {}
+    for names in (("x", "y", "z"), ("a", "b", "c")):
+        ctx = VariableContext.of(*names)
+        j = MonomialIdeal.from_monomials(ctx, [ctx.monomial(e) for e in exponents])
+        cert = k_decomposable_ideal(j, 0, memo)
+        assert verify_ideal_certificate(cert, 0, j) == j
+    assert len(memo) == 4  # one entry per searched node in each context

@@ -298,3 +298,45 @@ def test_cli_usage_exit():
     with pytest.raises(SystemExit) as err:
         main(["betti"])  # missing required --method
     assert err.value.code == 2
+
+
+def test_parse_rejects_boolean_exponents():
+    with pytest.raises(DocumentError):
+        parse_object({"kind": "ideal", "vars": ["x", "y"], "gens": [[True, 1]]})
+
+
+@pytest.mark.parametrize(
+    "document, argv",
+    [
+        # an exponent list with a negative entry
+        ('{"kind":"ideal","vars":["x","y"],"gens":[[1,-1]]}', ["betti", "--method", "oracle"]),
+        # a field size that is not prime
+        (TRI_IDEAL, ["betti", "--method", "oracle", "--field", "4"]),
+        # a declared variable that is not a vertex of the clutter
+        (
+            '{"kind":"clutter","vars":["x","y","z"],"edges":[["x","y"]]}',
+            ["clutter", "bound", "--vertex", "z", "--edge", "x,y"],
+        ),
+        (
+            '{"kind":"clutter","vars":["x","y","z"],"edges":[["x","y"]]}',
+            ["clutter", "minor", "--ops", "delete:x,delete:x"],
+        ),
+        # a shedding bound below -1
+        (TRI_IDEAL, ["decompose", "--k", "-5"]),
+    ],
+    ids=[
+        "negative-exponent",
+        "field-not-prime",
+        "bound-vertex-outside-clutter",
+        "minor-vertex-deleted-twice",
+        "k-below-minus-one",
+    ],
+)
+def test_cli_rejects_bad_input_with_usage_exit(tmp_path, capsys, document, argv):
+    path = tmp_path / "doc.json"
+    path.write_text(document)
+    where = 2 if argv[0] == "clutter" else 1
+    code, out, err = run_cli(capsys, argv[:where] + [str(path)] + argv[where:])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1

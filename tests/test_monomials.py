@@ -9,10 +9,6 @@ from kdecomp import (
     ImproperIdealError,
     MonomialIdeal,
     VariableContext,
-    colon_monomial,
-    minimalize,
-    monomial_of_set,
-    support,
 )
 from kdecomp.generators import random_monomial
 
@@ -27,9 +23,9 @@ def test_context_rejects_duplicate_names():
 def test_colon_componentwise(ctx3):
     # oracle: componentwise max(a - b, 0)
     f, g = mono(ctx3, "x*y"), mono(ctx3, "y*z")
-    assert colon_monomial(f, g) == mono(ctx3, "x")
-    assert colon_monomial(f, f).is_one
-    assert colon_monomial(mono(ctx3, "x^2"), mono(ctx3, "y^2")) == mono(ctx3, "x^2")
+    assert f.colon(g) == mono(ctx3, "x")
+    assert f.colon(f).is_one
+    assert mono(ctx3, "x^2").colon(mono(ctx3, "y^2")) == mono(ctx3, "x^2")
 
 
 def test_colon_random_matches_componentwise_oracle(ctx4):
@@ -38,49 +34,51 @@ def test_colon_random_matches_componentwise_oracle(ctx4):
         f = random_monomial(rng, ctx4, 4)
         g = random_monomial(rng, ctx4, 4)
         expect = tuple(max(a - b, 0) for a, b in zip(f.exponents, g.exponents))
-        assert colon_monomial(f, g).exponents == expect
+        assert f.colon(g).exponents == expect
 
 
 def test_colon_context_mismatch(ctx3, ctx4):
     with pytest.raises(ContextMismatchError):
-        colon_monomial(ctx3.variable(0), ctx4.variable(0))
+        ctx3.variable(0).colon(ctx4.variable(0))
 
 
 def test_support(ctx3):
-    assert support(mono(ctx3, "x^2*y")) == frozenset({0, 1})
-    assert support(ctx3.one()) == frozenset()
-    assert support(mono(ctx3, "x*y*z")) == frozenset({0, 1, 2})
+    assert mono(ctx3, "x^2*y").support == frozenset({0, 1})
+    assert ctx3.one().support == frozenset()
+    assert mono(ctx3, "x*y*z").support == frozenset({0, 1, 2})
 
 
 def test_monomial_of_set(ctx3):
-    assert monomial_of_set(ctx3, []).is_one
-    assert monomial_of_set(ctx3, [0, 2]) == mono(ctx3, "x*z")
-    assert monomial_of_set(ctx3, [1]) == mono(ctx3, "y")
+    assert ctx3.monomial_of_set([]).is_one
+    assert ctx3.monomial_of_set([0, 2]) == mono(ctx3, "x*z")
+    assert ctx3.monomial_of_set([1]) == mono(ctx3, "y")
 
 
 def test_minimalize(ctx3):
-    assert minimalize(ctx3, [mono(ctx3, "x*y"), mono(ctx3, "x*y*z")]) == ideal(ctx3, "x*y")
-    assert minimalize(
+    assert MonomialIdeal.from_monomials(
+        ctx3, [mono(ctx3, "x*y"), mono(ctx3, "x*y*z")]
+    ) == ideal(ctx3, "x*y")
+    assert MonomialIdeal.from_monomials(
         ctx3, [mono(ctx3, t) for t in ("x*y", "x*z", "y*z")]
     ) == ideal(ctx3, "x*y", "x*z", "y*z")
-    assert minimalize(
+    assert MonomialIdeal.from_monomials(
         ctx3, [mono(ctx3, t) for t in ("x^2", "x^3", "y")]
     ) == ideal(ctx3, "x^2", "y")
 
 
 def test_minimalize_rejects_unit(ctx3):
     with pytest.raises(ImproperIdealError):
-        minimalize(ctx3, [ctx3.one(), mono(ctx3, "x")])
+        MonomialIdeal.from_monomials(ctx3, [ctx3.one(), mono(ctx3, "x")])
 
 
 def test_minimalize_idempotent_and_order_insensitive(ctx4):
     rng = Random(5)
     for _ in range(100):
         monomials = [random_monomial(rng, ctx4, 3) for _ in range(rng.randint(1, 8))]
-        first = minimalize(ctx4, monomials)
+        first = MonomialIdeal.from_monomials(ctx4, monomials)
         rng.shuffle(monomials)
-        assert minimalize(ctx4, monomials) == first
-        assert minimalize(ctx4, first.gens) == first
+        assert MonomialIdeal.from_monomials(ctx4, monomials) == first
+        assert MonomialIdeal.from_monomials(ctx4, first.gens) == first
 
 
 def test_canonical_generator_order(ctx3):

@@ -102,7 +102,7 @@ def contraction(clutter: Clutter, v: int) -> Clutter:
         raise KeyError(f"unknown vertex {v}")
     if frozenset([v]) in clutter.edges:
         raise ImproperContractionError(
-            f"contracting {v} would create an empty edge"
+            f"contracting {clutter.ctx.names[v]!r} would create an empty edge"
         )
     return Clutter(
         clutter.ctx,

@@ -6,11 +6,20 @@ computed from boundary-matrix ranks: fraction-free (Bareiss) integer
 elimination for the rationals, ordinary elimination for a prime field.
 
 Faces are handled as integer bitmasks over vertex indices throughout.
+
+Both Betti oracles, Hochster's formula for squarefree ideals and the
+upper Koszul complexes for any monomial ideal, run one loop over
+multidegrees of the lcm lattice of the generators.  They differ only in
+the face test applied to the subsets of each multidegree's support (the
+two complexes are Alexander dual, so the routes stay independent checks
+of each other) and in the homological index the homology feeds.  One
+cache holds their tables, keyed by route, generators and field.
 """
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import product
+from operator import or_
 
 from .betti import BettiTable
 from .complexes import SimplicialComplex, stanley_reisner_ideal
@@ -164,78 +173,105 @@ def reduced_homology_dims(delta: SimplicialComplex, field=None) -> list[int]:
     return homology_dims_from_masks(masks, field)
 
 
-_hochster_cache: dict = {}
-_koszul_cache: dict = {}
+_oracle_cache: dict = {}
+
+
+def _lcm_closure(gens, join) -> set:
+    """Every join of a nonempty subset of `gens`: componentwise maxima of
+    exponent tuples, or unions of support masks."""
+    closure: set = set()
+    for g in gens:
+        closure |= {join(a, g) for a in closure}
+        closure.add(g)
+    return closure
+
+
+def _submasks(mask: int) -> list[int]:
+    subs = [mask]
+    while subs[-1]:
+        subs.append((subs[-1] - 1) & mask)
+    return subs
+
+
+def _oracle_table(ideal: MonomialIdeal, field, route: str) -> BettiTable:
+    """The Betti table of `ideal` by one oracle route, cached per route,
+    generators and field.
+
+    Every route runs the same loop over multidegrees a; only the face
+    test on the subsets s of supp(a) and the homological index differ:
+
+    - "hochster" (squarefree ideals): s is a face when it contains no
+      generator support, and degree c - 1 homology feeds index
+      |a| - c - 1.
+    - "koszul" and "box": s is a face when x^(a-s) is in the ideal,
+      that is when some generator g <= a is below a_i at every i in s;
+      degree c - 1 homology feeds index c.
+
+    Both scan the lcm lattice of the generators, where all nonzero Betti
+    numbers lie (Gasharov-Peeva-Welker); for "hochster" it is the set of
+    unions of generator supports, kept as masks.  "box" scans every a
+    below the generator lcm instead.
+    """
+    check_field(field)
+    if ideal.is_zero:
+        raise ZeroIdealError("Betti numbers need a nonzero ideal")
+    hochster = route == "hochster"
+    if hochster and not ideal.is_squarefree:
+        raise ValueError("this oracle needs a squarefree ideal")
+    gens = tuple(g.exponents for g in ideal.gens)
+    key = (route, gens, field)
+    cached = _oracle_cache.get(key)
+    if cached is not None:
+        return cached
+
+    lcm = tuple(map(max, zip(*gens)))
+    if hochster and sum(lcm) > VERTEX_BUDGET:
+        raise BudgetExceededError(
+            f"oracle budget is {VERTEX_BUDGET} vertices, got {sum(lcm)}"
+        )
+    if not hochster and sum(lcm) > LCM_DEGREE_BUDGET:
+        raise BudgetExceededError(
+            f"oracle lcm-degree budget is {LCM_DEGREE_BUDGET}, got {sum(lcm)}"
+        )
+    if route == "box":
+        degrees = product(*(range(e + 1) for e in lcm))
+    elif hochster:
+        # squarefree: the lattice degrees are unions of supports, as masks
+        supports = [g.support_bits for g in ideal.gens]
+        degrees = _lcm_closure(supports, or_)
+    else:
+        degrees = _lcm_closure(gens, lambda a, b: tuple(map(max, a, b)))
+
+    entries: dict[tuple[int, int], int] = {}
+    for a in degrees:
+        if hochster:
+            supp, j = a, bin(a).count("1")
+            walls = [g for g in supports if g & supp == g]
+            faces = [s for s in _submasks(supp) if all(w & s != w for w in walls)]
+        else:
+            supp, j = sum(1 << v for v, e in enumerate(a) if e), sum(a)
+            # tight(g, a) = {i : g_i = a_i > 0} for each generator g <= a
+            walls = [
+                sum(1 << v for v, (x, y) in enumerate(zip(g, a)) if x == y > 0)
+                for g in gens
+                if all(x <= y for x, y in zip(g, a))
+            ]
+            faces = [s for s in _submasks(supp) if any(not w & s for w in walls)]
+        for c, h in enumerate(homology_dims_from_masks(faces, field)):
+            i = j - c - 1 if hochster else c
+            if h and i >= 0:
+                entries[(i, j)] = entries.get((i, j), 0) + h
+
+    table = BettiTable(entries, minimal=True)
+    _oracle_cache[key] = table
+    return table
 
 
 def betti_hochster(ideal: MonomialIdeal, field=None) -> BettiTable:
     """Graded Betti numbers of a squarefree ideal from induced-subcomplex
-    homology of its nonface complex, summed over vertex subsets."""
-    check_field(field)
-    if ideal.is_zero:
-        raise ZeroIdealError("Betti numbers need a nonzero ideal")
-    if not ideal.is_squarefree:
-        raise ValueError("this oracle needs a squarefree ideal")
-    key = (tuple(g.exponents for g in ideal.gens), field)
-    cached = _hochster_cache.get(key)
-    if cached is not None:
-        return cached
-
-    supports = [g.support_bits for g in ideal.gens]
-    occupied = 0
-    for s in supports:
-        occupied |= s
-    nocc = bin(occupied).count("1")
-    if nocc > VERTEX_BUDGET:
-        raise BudgetExceededError(
-            f"oracle budget is {VERTEX_BUDGET} vertices, got {nocc}"
-        )
-
-    entries: dict[tuple[int, int], int] = {}
-    # Vertices in no generator lie in every facet; subsets touching them
-    # restrict to cones, which are acyclic, so only W inside the occupied
-    # set can contribute.
-    w = occupied
-    while True:
-        if w:
-            j = bin(w).count("1")
-            faces = []
-            sub = w
-            while True:
-                if all(s & sub != s for s in supports):
-                    faces.append(sub)
-                if sub == 0:
-                    break
-                sub = (sub - 1) & w
-            dims = homology_dims_from_masks(faces, field)
-            for c, h in enumerate(dims):
-                if h:
-                    i = j - (c - 1) - 2
-                    if i >= 0:
-                        entries[(i, j)] = entries.get((i, j), 0) + h
-        if w == 0:
-            break
-        w = (w - 1) & occupied
-
-    table = BettiTable(entries, minimal=True)
-    _hochster_cache[key] = table
-    return table
-
-
-def _lcm_closure(exponent_tuples: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
-    """All componentwise maxima of nonempty subsets of the given tuples."""
-    closure = set(exponent_tuples)
-    frontier = set(exponent_tuples)
-    while frontier:
-        fresh = set()
-        for a in frontier:
-            for b in exponent_tuples:
-                m = tuple(max(x, y) for x, y in zip(a, b))
-                if m not in closure:
-                    fresh.add(m)
-        closure |= fresh
-        frontier = fresh
-    return sorted(closure)
+    homology of its nonface complex, summed over unions of generator
+    supports."""
+    return _oracle_table(ideal, field, "hochster")
 
 
 def betti_koszul(
@@ -250,62 +286,7 @@ def betti_koszul(
     `all_multidegrees` switch scans the full box below the generator lcm
     instead, as a self-check.
     """
-    check_field(field)
-    if ideal.is_zero:
-        raise ZeroIdealError("Betti numbers need a nonzero ideal")
-    key = (tuple(g.exponents for g in ideal.gens), field, all_multidegrees)
-    cached = _koszul_cache.get(key)
-    if cached is not None:
-        return cached
-
-    n = ideal.ctx.n
-    gen_exps = [g.exponents for g in ideal.gens]
-    lcm = tuple(max(g[i] for g in gen_exps) for i in range(n))
-    if sum(lcm) > LCM_DEGREE_BUDGET:
-        raise BudgetExceededError(
-            f"oracle lcm-degree budget is {LCM_DEGREE_BUDGET}, got {sum(lcm)}"
-        )
-
-    if all_multidegrees:
-        degrees: list[tuple[int, ...]] = []
-
-        def _extend(prefix: tuple[int, ...]):
-            if len(prefix) == n:
-                degrees.append(prefix)
-                return
-            for e in range(lcm[len(prefix)] + 1):
-                _extend(prefix + (e,))
-
-        _extend(())
-    else:
-        degrees = _lcm_closure(gen_exps)
-
-    entries: dict[tuple[int, int], int] = {}
-    for a in degrees:
-        if not any(all(g[i] <= a[i] for i in range(n)) for g in gen_exps):
-            continue  # x^a not in the ideal: the complex is void
-        supp = [i for i in range(n) if a[i] > 0]
-        faces = []
-        for r in range(len(supp) + 1):
-            for sigma in combinations(supp, r):
-                reduced = list(a)
-                for v in sigma:
-                    reduced[v] -= 1
-                if any(all(g[i] <= reduced[i] for i in range(n)) for g in gen_exps):
-                    mask = 0
-                    for v in sigma:
-                        mask |= 1 << v
-                    faces.append(mask)
-        dims = homology_dims_from_masks(faces, field)
-        j = sum(a)
-        for c, h in enumerate(dims):
-            if h:
-                i = c  # degree c-1 homology feeds homological index i = c
-                entries[(i, j)] = entries.get((i, j), 0) + h
-
-    table = BettiTable(entries, minimal=True)
-    _koszul_cache[key] = table
-    return table
+    return _oracle_table(ideal, field, "box" if all_multidegrees else "koszul")
 
 
 def oracle_ideal_table(ideal: MonomialIdeal, field=None) -> BettiTable:

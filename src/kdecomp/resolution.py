@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .betti import BettiTable, binom
-from .complexes import SimplicialComplex, delete_face, link
+from .complexes import SimplicialComplex
 from .decomposition import (
     ComplexCertificate,
     ComplexLeaf,
@@ -198,17 +198,17 @@ def reg_pd_complex(
     variable-generated nonface ideal, so reg 0 and pd s.
     """
     verify_complex_certificate(delta, cert)
-    return _reg_pd_rec(delta, frozenset(delta.vertices), cert)
+    return _reg_pd_rec(frozenset(delta.vertices), cert)
 
 
-def _reg_pd_rec(delta, ambient: frozenset[int], cert) -> tuple[int, int]:
+def _reg_pd_rec(ambient: frozenset[int], cert) -> tuple[int, int]:
     if isinstance(cert, ComplexLeaf):
         if cert.facet is None:
             raise InvalidCertificateError("the void complex has no nonface ideal")
         return 0, len(ambient - cert.facet)
     sigma = cert.sigma
-    reg_d, pd_d = _reg_pd_rec(delete_face(delta, sigma), ambient, cert.deletion)
-    reg_l, pd_l = _reg_pd_rec(link(delta, sigma), ambient - sigma, cert.link)
+    reg_d, pd_d = _reg_pd_rec(ambient, cert.deletion)
+    reg_l, pd_l = _reg_pd_rec(ambient - sigma, cert.link)
     return max(reg_d, reg_l + len(sigma)), max(pd_d, pd_l)
 
 

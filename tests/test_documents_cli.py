@@ -306,23 +306,35 @@ def test_parse_rejects_boolean_exponents():
 
 
 @pytest.mark.parametrize(
-    "document, argv",
+    "document, argv, named",
     [
         # an exponent list with a negative entry
-        ('{"kind":"ideal","vars":["x","y"],"gens":[[1,-1]]}', ["betti", "--method", "oracle"]),
+        (
+            '{"kind":"ideal","vars":["x","y"],"gens":[[1,-1]]}',
+            ["betti", "--method", "oracle"],
+            "[1, -1]",
+        ),
         # a field size that is not prime
-        (TRI_IDEAL, ["betti", "--method", "oracle", "--field", "4"]),
+        (TRI_IDEAL, ["betti", "--method", "oracle", "--field", "4"], "'4'"),
         # a declared variable that is not a vertex of the clutter
         (
             '{"kind":"clutter","vars":["x","y","z"],"edges":[["x","y"]]}',
             ["clutter", "bound", "--vertex", "z", "--edge", "x,y"],
+            "'z'",
         ),
         (
             '{"kind":"clutter","vars":["x","y","z"],"edges":[["x","y"]]}',
             ["clutter", "minor", "--ops", "delete:x,delete:x"],
+            "'x'",
         ),
         # a shedding bound below -1
-        (TRI_IDEAL, ["decompose", "--k", "-5"]),
+        (TRI_IDEAL, ["decompose", "--k", "-5"], "-5"),
+        # contracting y after x would leave the empty edge
+        (
+            '{"kind":"clutter","vars":["x","y"],"edges":[["x","y"]]}',
+            ["clutter", "minor", "--ops", "contract:x,contract:y"],
+            "'y'",
+        ),
     ],
     ids=[
         "negative-exponent",
@@ -330,9 +342,10 @@ def test_parse_rejects_boolean_exponents():
         "bound-vertex-outside-clutter",
         "minor-vertex-deleted-twice",
         "k-below-minus-one",
+        "minor-contraction-empties-edge",
     ],
 )
-def test_cli_rejects_bad_input_with_usage_exit(tmp_path, capsys, document, argv):
+def test_cli_rejects_bad_input_with_usage_exit(tmp_path, capsys, document, argv, named):
     path = tmp_path / "doc.json"
     path.write_text(document)
     where = 2 if argv[0] == "clutter" else 1
@@ -340,3 +353,4 @@ def test_cli_rejects_bad_input_with_usage_exit(tmp_path, capsys, document, argv)
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+    assert named in err

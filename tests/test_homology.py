@@ -1,18 +1,22 @@
 from __future__ import annotations
 
+from itertools import combinations
 from random import Random
 
 import pytest
 
 from kdecomp import (
+    BettiTable,
     BudgetExceededError,
     SimplicialComplex,
     VariableContext,
     ZeroIdealError,
     betti_hochster,
     betti_koszul,
+    independence_complex,
     induced_subcomplex,
     reduced_homology_dims,
+    stanley_reisner_ideal,
 )
 from kdecomp.generators import random_complex, random_monomial_ideal, random_squarefree_ideal
 from kdecomp.homology import homology_dims_from_masks
@@ -117,11 +121,50 @@ def test_koszul_goldens(ctx3):
     assert betti_koszul(tri) == betti_hochster(tri)
 
 
+def rp2_nonface_ideal():
+    """Nonface ideal of the 6-vertex real projective plane, whose Betti
+    numbers over GF(2) differ from those over the rationals."""
+    ctx = VariableContext.of(*"abcdef")
+    facets = [[0, 1, 2], [0, 2, 3], [0, 3, 4], [0, 4, 5], [0, 1, 5],
+              [1, 2, 4], [1, 3, 4], [1, 3, 5], [2, 3, 5], [2, 4, 5]]
+    return stanley_reisner_ideal(SimplicialComplex.from_facets(ctx, facets))
+
+
 def test_koszul_equals_hochster_on_squarefree(ctx4):
     rng = Random(13)
-    for _ in range(40):
-        i = random_squarefree_ideal(rng, ctx4, 5)
-        assert betti_koszul(i) == betti_hochster(i)
+    batch = [random_squarefree_ideal(rng, ctx4, 5) for _ in range(40)]
+    for i in batch + [rp2_nonface_ideal()]:
+        for field in (None, 2):
+            table = betti_hochster(i, field)
+            assert betti_koszul(i, field) == table
+            assert betti_koszul(i, field, all_multidegrees=True) == table
+
+
+def hochster_by_subsets(squarefree, field=None):
+    """Hochster's formula summed over every subset W of the variables,
+    through the complex API rather than the oracle's multidegree loop."""
+    ctx = squarefree.ctx
+    delta = independence_complex(ctx, range(ctx.n), [g.support for g in squarefree.gens])
+    entries = {}
+    for j in range(ctx.n + 1):
+        for w in combinations(range(ctx.n), j):
+            sub = induced_subcomplex(delta, delta.vertices & set(w))
+            for c, h in enumerate(reduced_homology_dims(sub, field)):
+                i = j - c - 1
+                if h and i >= 0:
+                    entries[(i, j)] = entries.get((i, j), 0) + h
+    return BettiTable(entries, minimal=True)
+
+
+def test_hochster_equals_subset_reference():
+    ctx = VariableContext.of(*"abcde")
+    rng = Random(41)
+    batch = [random_squarefree_ideal(rng, ctx, 6) for _ in range(30)]
+    for i in batch + [rp2_nonface_ideal()]:
+        for field in (None, 2):
+            assert betti_hochster(i, field) == hochster_by_subsets(i, field)
+    rp2 = rp2_nonface_ideal()
+    assert betti_hochster(rp2, 2) != betti_hochster(rp2)
 
 
 def test_koszul_lattice_scan_equals_full_scan(ctx3):

@@ -124,6 +124,8 @@ def _cmd_decompose(args) -> int:
     k = args.k
     if k < -1:
         raise DocumentError(f"--k must be -1 (no bound) or at least 0, got {k}")
+    if args.budget < 0:
+        raise DocumentError(f"--budget must be at least 0, got {args.budget}")
     if parsed.kind == "ideal":
         if args.mode == "dual":
             raise DocumentError("dual mode applies to complexes only")
@@ -385,6 +387,8 @@ _VERIFIERS = {
 
 
 def _cmd_verify(args) -> int:
+    if args.count < 0:
+        raise DocumentError(f"--count must be at least 0, got {args.count}")
     rng = Random(args.seed)
     runner = _VERIFIERS[args.property]
     done, failure = runner(rng, args.count)

@@ -7,6 +7,10 @@ power of u divides (the "deletion" side I^u) and the untouched part (the
 Certificates can be re-verified independently of the search that found
 them.
 
+Inputs are validated once, by the public functions.  Below them the
+split, the shedding test, the search and the certificate check run on
+exponent tuples; a Monomial is built only for a certificate node or leaf.
+
 Determinism: candidates are tried in lexicographic order of their sorted
 support/vertex tuple, then of the exponent vector, and the first valid
 shedding monomial or face wins.  Search failures are memoized by the
@@ -21,58 +25,70 @@ from itertools import combinations, product
 from .complexes import SimplicialComplex, delete_face, link
 from .errors import (
     BudgetExceededError,
+    ContextMismatchError,
     InvalidCertificateError,
     NotAFaceError,
     ZeroIdealError,
 )
-from .monomials import Monomial, MonomialIdeal
+from .monomials import Monomial, MonomialIdeal, VariableContext
 
 DEFAULT_NODE_BUDGET = 500_000
 
 
+def _exponents(ideal: MonomialIdeal) -> tuple[tuple[int, ...], ...]:
+    return tuple(g.exponents for g in ideal.gens)
+
+
+def _check_u(ctx: VariableContext, u: Monomial) -> None:
+    if u.ctx != ctx:
+        raise ContextMismatchError("u lives in a different context")
+    if u.is_one:
+        raise ValueError("the predicate [u, M] is vacuous for u = 1")
+
+
+def _split(gens, u):
+    """(I^u, I_u) in the order of gens: g is in I_u when [u, g] = 1, that
+    is g_i < u_i for every i with u_i > 0."""
+    bounds = [(i, a) for i, a in enumerate(u) if a]
+    upper, lower = [], []
+    for g in gens:
+        (lower if all(g[i] < a for i, a in bounds) else upper).append(g)
+    return tuple(upper), tuple(lower)
+
+
+def _shedding_split(gens, u):
+    """(I^u, I_u) when u sheds: for each m in I_u and i in supp(u) some g
+    in I^u has g : m = x_i, i.e. max(g_j - m_j, 0) = [j = i] for all j."""
+    upper, lower = _split(gens, u)
+    if not upper or not lower:
+        return None  # nothing to shed, or the witnesses cannot exist
+    support = {i for i, a in enumerate(u) if a}
+    for m in lower:
+        colons = ([max(a - b, 0) for a, b in zip(g, m)] for g in upper)
+        if not support <= {c.index(1) for c in colons if sum(c) == 1}:
+            return None
+    return upper, lower
+
+
 def matches(u: Monomial, m: Monomial) -> bool:
     """The predicate [u, M] = 1: no x_i^{a_i} with a_i > 0 in u divides M."""
-    u._check(m)
-    if u.is_one:
-        raise ValueError("the predicate is vacuous for u = 1")
-    return all(b < a for a, b in zip(u.exponents, m.exponents) if a > 0)
+    _check_u(m.ctx, u)
+    return not _split((m.exponents,), u.exponents)[0]
 
 
 def split(ideal: MonomialIdeal, u: Monomial) -> tuple[MonomialIdeal, MonomialIdeal]:
     """Partition G(I) into (I^u, I_u) by the predicate [u, .]."""
-    if u.is_one:
-        raise ValueError("cannot split along u = 1")
-    upper: list[Monomial] = []
-    lower: list[Monomial] = []
-    for g in ideal.gens:
-        (lower if matches(u, g) else upper).append(g)
-    return (
-        MonomialIdeal(ideal.ctx, tuple(upper)),
-        MonomialIdeal(ideal.ctx, tuple(lower)),
-    )
+    ctx = ideal.ctx
+    _check_u(ctx, u)
+    halves = _split(_exponents(ideal), u.exponents)
+    return tuple(MonomialIdeal(ctx, tuple(map(ctx.monomial, h))) for h in halves)
 
 
 def is_shedding_monomial(ideal: MonomialIdeal, u: Monomial) -> bool:
     """u sheds I when I_u != 0 and every generator of I_u is one colon step
     away from some generator of I^u, in every support variable of u."""
-    return _shedding_split(ideal, u) is not None
-
-
-def _shedding_split(
-    ideal: MonomialIdeal, u: Monomial
-) -> tuple[MonomialIdeal, MonomialIdeal] | None:
-    """The split (I^u, I_u) when u sheds I, else None."""
-    upper, lower = split(ideal, u)
-    if lower.is_zero:
-        return None
-    if upper.is_zero:
-        return None  # the required witnesses cannot exist
-    for m in lower.gens:
-        for var in sorted(u.support):
-            target = ideal.ctx.variable(var)
-            if not any(g.colon(m) == target for g in upper.gens):
-                return None
-    return upper, lower
+    _check_u(ideal.ctx, u)
+    return _shedding_split(_exponents(ideal), u.exponents) is not None
 
 
 @dataclass(frozen=True)
@@ -105,42 +121,39 @@ def verify_ideal_certificate(
     support bound fails.
     """
     leaves = certificate_generators(cert)
-    if not leaves:
-        raise InvalidCertificateError("certificate has no leaves")
     ctx = leaves[0].ctx
     ideal = MonomialIdeal.from_monomials(ctx, leaves)
     if len(ideal.gens) != len(leaves):
         raise InvalidCertificateError("certificate leaves are not a minimal set")
     if expected is not None and ideal != expected:
         raise InvalidCertificateError("certificate does not describe this ideal")
-    _verify_ideal_node(cert, ideal, k)
+    _verify_ideal_node(cert, ctx, _exponents(ideal), k)
     return ideal
 
 
-def _verify_ideal_node(cert: IdealCertificate, ideal: MonomialIdeal, k: int) -> None:
+def _verify_ideal_node(cert: IdealCertificate, ctx, gens, k: int) -> None:
+    """Each subtree is handed its half of the split and each leaf must be
+    the one generator left, so leaves that are not their half fail."""
     if isinstance(cert, IdealLeaf):
-        if ideal.gens != (cert.generator,):
+        if gens != (cert.generator.exponents,):
             raise InvalidCertificateError("leaf does not match its ideal")
         return
     u = cert.u
+    if u.ctx != ctx:
+        raise InvalidCertificateError(f"{u} lives in a different context")
     if k >= 0 and len(u.support) > k + 1:
         raise InvalidCertificateError(
             f"|supp(u)| = {len(u.support)} exceeds k + 1 = {k + 1}"
         )
-    parts = _shedding_split(ideal, u)
+    parts = _shedding_split(gens, u.exponents)
     if parts is None:
         raise InvalidCertificateError(f"{u} is not a shedding monomial here")
-    upper, lower = parts
-    if set(certificate_generators(cert.deletion)) != set(upper.gens):
-        raise InvalidCertificateError("deletion subtree does not match I^u")
-    if set(certificate_generators(cert.link)) != set(lower.gens):
-        raise InvalidCertificateError("link subtree does not match I_u")
-    _verify_ideal_node(cert.deletion, upper, k)
-    _verify_ideal_node(cert.link, lower, k)
+    _verify_ideal_node(cert.deletion, ctx, parts[0], k)
+    _verify_ideal_node(cert.link, ctx, parts[1], k)
 
 
-def _shedding_candidates(ideal: MonomialIdeal, cap: int):
-    """Candidate shedding monomials in deterministic order.
+def _shedding_candidates(gens, cap: int):
+    """Candidate shedding exponent vectors in deterministic order.
 
     For each variable the candidate exponents are exactly the positive
     exponents occurring among the generators, so the space is finite and
@@ -149,8 +162,8 @@ def _shedding_candidates(ideal: MonomialIdeal, cap: int):
     exponent choices in ascending product order.
     """
     occurring: dict[int, list[int]] = {}
-    for g in ideal.gens:
-        for i, e in enumerate(g.exponents):
+    for g in gens:
+        for i, e in enumerate(g):
             if e > 0:
                 occurring.setdefault(i, []).append(e)
     variables = sorted(occurring)
@@ -161,10 +174,10 @@ def _shedding_candidates(ideal: MonomialIdeal, cap: int):
     supports.sort()
     for supp in supports:
         for choice in product(*(exps[i] for i in supp)):
-            vec = [0] * ideal.ctx.n
+            vec = [0] * len(gens[0])
             for i, e in zip(supp, choice):
                 vec[i] = e
-            yield Monomial(ideal.ctx, tuple(vec))
+            yield tuple(vec)
 
 
 class _Budget:
@@ -195,30 +208,29 @@ def k_decomposable_ideal(
         raise ZeroIdealError("the zero ideal has no decomposition")
     if memo is None:
         memo = {}
-    return _search_ideal(ideal, k, memo, _Budget(node_budget))
+    return _search_ideal(ideal.ctx, _exponents(ideal), k, memo, _Budget(node_budget))
 
 
-def _search_ideal(ideal, k, memo, budget) -> IdealCertificate | None:
-    if len(ideal.gens) == 1:
-        return IdealLeaf(ideal.gens[0])
-    key = (ideal.ctx, tuple(g.exponents for g in ideal.gens), k)
+def _search_ideal(ctx, gens, k, memo, budget) -> IdealCertificate | None:
+    if len(gens) == 1:
+        return IdealLeaf(Monomial(ctx, gens[0]))
+    key = (ctx, gens, k)
     if key in memo:
         return memo[key]
     budget.spend()
-    cap = ideal.ctx.n if k < 0 else k + 1
+    cap = ctx.n if k < 0 else k + 1
     result = None
-    for u in _shedding_candidates(ideal, cap):
-        parts = _shedding_split(ideal, u)
+    for u in _shedding_candidates(gens, cap):
+        parts = _shedding_split(gens, u)
         if parts is None:
             continue
-        upper, lower = parts
-        left = _search_ideal(upper, k, memo, budget)
+        left = _search_ideal(ctx, parts[0], k, memo, budget)
         if left is None:
             continue
-        right = _search_ideal(lower, k, memo, budget)
+        right = _search_ideal(ctx, parts[1], k, memo, budget)
         if right is None:
             continue
-        result = IdealNode(u, left, right)
+        result = IdealNode(Monomial(ctx, u), left, right)
         break
     memo[key] = result
     return result

@@ -113,18 +113,6 @@ class Monomial:
             tuple(max(a - b, 0) for a, b in zip(self.exponents, other.exponents)),
         )
 
-    def lcm(self, other: "Monomial") -> "Monomial":
-        self._check(other)
-        return Monomial(
-            self.ctx, tuple(max(a, b) for a, b in zip(self.exponents, other.exponents))
-        )
-
-    def times(self, other: "Monomial") -> "Monomial":
-        self._check(other)
-        return Monomial(
-            self.ctx, tuple(a + b for a, b in zip(self.exponents, other.exponents))
-        )
-
     def _check(self, other: "Monomial") -> None:
         if self.ctx != other.ctx:
             raise ContextMismatchError("monomials live in different contexts")
@@ -196,11 +184,6 @@ class MonomialIdeal:
     def contains(self, m: Monomial) -> bool:
         """Membership test for monomials: some generator divides m."""
         return any(g.divides(m) for g in self.gens)
-
-    def plus(self, other: "MonomialIdeal") -> "MonomialIdeal":
-        if self.ctx != other.ctx:
-            raise ContextMismatchError("ideals live in different contexts")
-        return MonomialIdeal.from_monomials(self.ctx, self.gens + other.gens)
 
     def __str__(self) -> str:
         if self.is_zero:

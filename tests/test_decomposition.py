@@ -194,16 +194,28 @@ def test_pointwise_shedding_transport(ctx4):
 
 
 def test_invalid_certificate_rejected(ctx3):
+    from kdecomp import betti_recursive, order_from_certificate, pd_reg_from_certificate
+
     i = ideal(ctx3, "x*y", "x*z", "y*z")
-    bogus = IdealNode(
-        mono(ctx3, "z"),
-        IdealLeaf(mono(ctx3, "x*y")),
-        IdealNode(
-            mono(ctx3, "y"), IdealLeaf(mono(ctx3, "x*z")), IdealLeaf(mono(ctx3, "y*z"))
-        ),
-    )
-    with pytest.raises(InvalidCertificateError):
-        verify_ideal_certificate(bogus, -1, i)
+    other = VariableContext.of("a", "b", "c")
+    xy, xz, yz = (IdealLeaf(mono(ctx3, t)) for t in ("x*y", "x*z", "y*z"))
+    deletion = IdealNode(mono(ctx3, "y"), xy, xz)
+    assert verify_ideal_certificate(IdealNode(mono(ctx3, "x"), deletion, yz), -1, i) == i
+    bogus = [
+        # z sheds i, but the subtrees are not the halves of its split
+        IdealNode(mono(ctx3, "z"), xy, IdealNode(mono(ctx3, "y"), xz, yz)),
+        # the valid certificate with two leaves swapped
+        IdealNode(mono(ctx3, "x"), IdealNode(mono(ctx3, "y"), xz, xy), yz),
+        # u = 1, and u = a from another context with the exponents of x
+        IdealNode(ctx3.one(), deletion, yz),
+        IdealNode(mono(other, "a"), deletion, yz),
+    ]
+    for cert in bogus:
+        with pytest.raises(InvalidCertificateError):
+            verify_ideal_certificate(cert, -1, i)
+        for derive in (order_from_certificate, betti_recursive, pd_reg_from_certificate):
+            with pytest.raises(InvalidCertificateError):
+                derive(cert)
 
 
 def test_budget_raises(ctx4):

@@ -329,6 +329,8 @@ def test_parse_rejects_boolean_exponents():
         ),
         # a shedding bound below -1
         (TRI_IDEAL, ["decompose", "--k", "-5"], "-5"),
+        # a negative node budget
+        (TRI_IDEAL, ["decompose", "--k", "0", "--budget", "-5"], "-5"),
         # contracting y after x would leave the empty edge
         (
             '{"kind":"clutter","vars":["x","y"],"edges":[["x","y"]]}',
@@ -342,6 +344,7 @@ def test_parse_rejects_boolean_exponents():
         "bound-vertex-outside-clutter",
         "minor-vertex-deleted-twice",
         "k-below-minus-one",
+        "negative-budget",
         "minor-contraction-empties-edge",
     ],
 )
@@ -354,3 +357,11 @@ def test_cli_rejects_bad_input_with_usage_exit(tmp_path, capsys, document, argv,
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert named in err
+
+
+def test_cli_verify_rejects_negative_count(capsys):
+    code, out, err = run_cli(capsys, ["verify", "terao", "--seed", "1", "--count", "-3"])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "-3" in err

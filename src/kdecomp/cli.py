@@ -171,21 +171,15 @@ def _cmd_invariants(args) -> int:
             out["quotient"] = {"reg": table.reg - 1, "pd": table.pd + 1}
             if ideal.is_squarefree:
                 out["bight"] = res.bight(ideal)
-    elif parsed.kind == "complex":
-        delta = parsed.value
-        reg, pd = ho.oracle_complex_reg_pd(delta, field=field)
-        ideal = cx.stanley_reisner_ideal(delta)
-        out = {"kind": "complex", "quotient": {"reg": reg, "pd": pd}}
-        if ideal.is_zero:
-            notes.append("the nonface ideal is zero; conventions reg=pd=0 used")
-        else:
-            out["bight"] = res.bight(ideal)
     else:
-        ideal = cl.edge_ideal(parsed.value)
+        if parsed.kind == "complex":
+            ideal, name = cx.stanley_reisner_ideal(parsed.value), "nonface"
+        else:
+            ideal, name = cl.edge_ideal(parsed.value), "edge"
         reg, pd = ho.oracle_quotient_reg_pd(ideal, field)
-        out = {"kind": "clutter", "quotient": {"reg": reg, "pd": pd}}
+        out = {"kind": parsed.kind, "quotient": {"reg": reg, "pd": pd}}
         if ideal.is_zero:
-            notes.append("the edge ideal is zero; conventions reg=pd=0 used")
+            notes.append(f"the {name} ideal is zero; conventions reg=pd=0 used")
         else:
             out["bight"] = res.bight(ideal)
     if notes:

@@ -9,6 +9,13 @@ what makes dualizing an involution).
 The two degenerate complexes are encoded by their facet sets:
 ``{}`` (void, no faces at all) has no facets, and ``{{}}`` (the complex
 whose only face is the empty set) has the single facet ``frozenset()``.
+
+Vertex sets are frozensets throughout.  Every duality goes through one
+helper, :func:`_minimal_transversals` (the blocker of a clutter): the
+minimal nonfaces are the minimal transversals of the facet complements,
+the facets of an independence complex are the complements of the minimal
+vertex covers of its edges, and the Alexander dual of a squarefree ideal
+is generated by the minimal transversals of its generator supports.
 """
 
 from __future__ import annotations
@@ -34,6 +41,25 @@ def antichain(sets: Iterable[frozenset], minimal: bool = False) -> frozenset[fro
     if minimal:
         return frozenset(s for s in distinct if not any(o < s for o in distinct))
     return frozenset(s for s in distinct if not any(s < o for o in distinct))
+
+
+def _minimal_transversals(sets: Iterable[frozenset]) -> frozenset[frozenset]:
+    """The inclusion-minimal sets meeting every member of `sets`.
+
+    Members are added one at a time, and each cover that misses the new
+    member is extended by each of its elements.  No members give
+    ``{frozenset()}``; an empty member gives no transversal at all.
+    """
+    covers = frozenset([frozenset()])
+    for s in sets:
+        extended: set[frozenset] = set()
+        for cover in covers:
+            if cover & s:
+                extended.add(cover)
+            else:
+                extended.update(cover | {v} for v in s)
+        covers = antichain(extended, minimal=True)
+    return covers
 
 
 @dataclass(frozen=True)
@@ -131,18 +157,13 @@ class SimplicialComplex:
 
 
 def minimal_nonfaces(delta: SimplicialComplex) -> frozenset[VertexSet]:
-    """Inclusion-minimal subsets of the vertex set that are not faces."""
+    """Inclusion-minimal subsets of the vertex set that are not faces.
+
+    A set is a nonface exactly when it meets every facet complement.
+    """
     if delta.is_void:
         raise VoidComplexError("the void complex has no nonfaces convention")
-    faces = delta.faces()
-    verts = sorted(delta.vertices)
-    out = []
-    for r in range(1, len(verts) + 1):
-        for cand in combinations(verts, r):
-            s = frozenset(cand)
-            if s not in faces and all(s - {v} in faces for v in s):
-                out.append(s)
-    return frozenset(out)
+    return _minimal_transversals(delta.vertices - f for f in delta.facets)
 
 
 def stanley_reisner_ideal(
@@ -171,33 +192,13 @@ def independence_complex(
 ) -> SimplicialComplex:
     """Faces are the subsets of `vertices` containing no edge.
 
-    Accepts singleton edges (their vertices then appear in no face).
+    Accepts singleton edges (their vertices then appear in no face); an
+    edge not inside `vertices` is in no such subset and changes nothing.
+    The facets are the complements of the minimal vertex covers.
     """
-    verts = sorted(frozenset(vertices))
-    edge_masks = []
-    for e in edges:
-        mask = 0
-        for v in e:
-            mask |= 1 << v
-        edge_masks.append(mask)
-    vert_bits = [1 << v for v in verts]
-
-    independent: list[int] = []
-    for sub in range(1 << len(verts)):
-        mask = 0
-        for i in range(len(verts)):
-            if sub >> i & 1:
-                mask |= vert_bits[i]
-        if all(e & mask != e for e in edge_masks):
-            independent.append(mask)
-    indep_set = set(independent)
-    facets = []
-    for mask in independent:
-        if not any(
-            b & mask == 0 and (mask | b) in indep_set for b in vert_bits
-        ):
-            facets.append(frozenset(v for v in verts if mask >> v & 1))
-    return SimplicialComplex.from_facets(ctx, facets)
+    verts = frozenset(vertices)
+    covers = _minimal_transversals(e for e in map(frozenset, edges) if e <= verts)
+    return SimplicialComplex.from_facets(ctx, [verts - c for c in covers])
 
 
 def complex_from_nonfaces(clutter) -> SimplicialComplex:
@@ -234,16 +235,7 @@ def alexander_dual_ideal(ideal: MonomialIdeal) -> MonomialIdeal:
         raise ValueError("Alexander duality needs a squarefree ideal")
     if ideal.is_zero:
         raise ImproperIdealError("the dual of the zero ideal is the unit ideal")
-    covers: set[frozenset[int]] = {frozenset()}
-    for g in ideal.gens:
-        supp = g.support
-        extended: set[frozenset[int]] = set()
-        for cover in covers:
-            if cover & supp:
-                extended.add(cover)
-            else:
-                extended.update(cover | {v} for v in supp)
-        covers = antichain(extended, minimal=True)
+    covers = _minimal_transversals(g.support for g in ideal.gens)
     return MonomialIdeal.from_monomials(
         ideal.ctx, (ideal.ctx.monomial_of_set(c) for c in covers)
     )

@@ -26,6 +26,7 @@ from .complexes import SimplicialComplex, delete_face, link
 from .errors import (
     BudgetExceededError,
     ContextMismatchError,
+    ImproperIdealError,
     InvalidCertificateError,
     NotAFaceError,
     ZeroIdealError,
@@ -122,7 +123,10 @@ def verify_ideal_certificate(
     """
     leaves = certificate_generators(cert)
     ctx = leaves[0].ctx
-    ideal = MonomialIdeal.from_monomials(ctx, leaves)
+    try:
+        ideal = MonomialIdeal.from_monomials(ctx, leaves)
+    except (ContextMismatchError, ImproperIdealError) as e:
+        raise InvalidCertificateError(f"certificate leaves: {e}") from None
     if len(ideal.gens) != len(leaves):
         raise InvalidCertificateError("certificate leaves are not a minimal set")
     if expected is not None and ideal != expected:

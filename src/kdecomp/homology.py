@@ -161,15 +161,7 @@ def reduced_homology_dims(delta: SimplicialComplex, field=None) -> list[int]:
         return []
     masks = set()
     for facet in delta.facets:
-        fmask = 0
-        for v in facet:
-            fmask |= 1 << v
-        sub = fmask
-        while True:
-            masks.add(sub)
-            if sub == 0:
-                break
-            sub = (sub - 1) & fmask
+        masks.update(_submasks(sum(1 << v for v in facet)))
     return homology_dims_from_masks(masks, field)
 
 

@@ -15,11 +15,17 @@ from kdecomp import (
     alexander_dual_ideal,
     complex_from_nonfaces,
     delete_face,
+    independence_complex,
     link,
     minimal_nonfaces,
     stanley_reisner_ideal,
 )
-from kdecomp.generators import random_complex, random_squarefree_ideal
+from kdecomp.generators import (
+    all_complexes,
+    random_clutter,
+    random_complex,
+    random_squarefree_ideal,
+)
 
 from conftest import ideal
 
@@ -42,22 +48,44 @@ def triangle(ctx):
     return SimplicialComplex.from_facets(ctx, [[0, 1], [0, 2], [1, 2]])
 
 
-def test_minimal_nonfaces_by_enumeration(ctx3):
-    tri = triangle(ctx3)
-    faces = brute_faces(tri)
-    expected = {
+def brute_minimal_nonfaces(delta):
+    """Subsets of the vertex set that are not faces but whose every
+    one-smaller subset is."""
+    faces = brute_faces(delta)
+    return {
         frozenset(s)
-        for s in powerset(tri.vertices)
+        for s in powerset(delta.vertices)
         if frozenset(s) not in faces
         and all(frozenset(s) - {v} in faces for v in s)
     }
-    assert minimal_nonfaces(tri) == expected == {frozenset({0, 1, 2})}
+
+
+def test_minimal_nonfaces_by_enumeration(ctx3, ctx4):
+    tri = triangle(ctx3)
+    assert minimal_nonfaces(tri) == brute_minimal_nonfaces(tri) == {frozenset({0, 1, 2})}
 
     full = SimplicialComplex.from_facets(ctx3, [[0, 1, 2]])
     assert minimal_nonfaces(full) == frozenset()
 
     two = SimplicialComplex.from_facets(ctx3, [[0], [1]])
     assert minimal_nonfaces(two) == {frozenset({0, 1})}
+
+    samples = [d for d in all_complexes(ctx4, 4) if not d.is_void]
+    samples += [
+        # declared vertices that are not faces
+        SimplicialComplex.from_facets(ctx4, [[0, 1]], vertices=[2, 3]),
+        SimplicialComplex.from_facets(ctx4, [[0], [1]], vertices=[3]),
+        # {{}} without and with declared vertices
+        SimplicialComplex.irrelevant(ctx4),
+        SimplicialComplex.irrelevant(ctx4, [0, 2, 3]),
+    ]
+    for delta in samples:
+        assert minimal_nonfaces(delta) == brute_minimal_nonfaces(delta), delta
+    assert minimal_nonfaces(SimplicialComplex.irrelevant(ctx4)) == frozenset()
+    assert minimal_nonfaces(SimplicialComplex.irrelevant(ctx4, [0, 2])) == {
+        frozenset({0}),
+        frozenset({2}),
+    }
 
 
 def test_minimal_nonfaces_void_errors(ctx3):
@@ -77,7 +105,17 @@ def test_stanley_reisner_ideal(ctx3):
         stanley_reisner_ideal(SimplicialComplex.void(ctx3))
 
 
-def test_complex_from_nonfaces(ctx3):
+def brute_independence_facets(vertices, edges):
+    """Maximal subsets of `vertices` that contain no edge."""
+    free = [
+        frozenset(s)
+        for s in powerset(vertices)
+        if not any(frozenset(e) <= frozenset(s) for e in edges)
+    ]
+    return {s for s in free if not any(s < o for o in free)}
+
+
+def test_complex_from_nonfaces(ctx3, ctx4):
     tri = Clutter.from_edges(ctx3, [[0, 1], [0, 2], [1, 2]])
     assert complex_from_nonfaces(tri).facets == frozenset(
         {frozenset({0}), frozenset({1}), frozenset({2})}
@@ -88,6 +126,26 @@ def test_complex_from_nonfaces(ctx3):
     )
     edgeless = Clutter.from_edges(ctx3, [], vertices=[0, 1])
     assert complex_from_nonfaces(edgeless).facets == frozenset({frozenset({0, 1})})
+
+    rng = Random(29)
+    for _ in range(60):
+        clutter = random_clutter(rng, ctx4, 4)
+        got = complex_from_nonfaces(clutter).facets
+        assert got == brute_independence_facets(clutter.vertices, clutter.edges)
+
+    # raw edge families: singleton edges, an empty edge, no edges, and
+    # edges leaving the vertex set
+    for _ in range(150):
+        verts = rng.sample(range(4), rng.randint(0, 4))
+        edges = [
+            rng.sample(range(4), rng.choice([1, 1, 2, 2, 3]))
+            for _ in range(rng.randint(0, 4))
+        ]
+        expected = brute_independence_facets(verts, edges)
+        assert independence_complex(ctx4, verts, edges).facets == expected
+        assert independence_complex(ctx4, verts, edges + [[]]).is_void
+    assert independence_complex(ctx4, [], []).is_irrelevant
+    assert independence_complex(ctx4, [0, 1], [[1], [2, 3]]).facets == {frozenset({0})}
 
 
 def test_alexander_dual_complex(ctx3):

@@ -209,6 +209,9 @@ def test_invalid_certificate_rejected(ctx3):
         # u = 1, and u = a from another context with the exponents of x
         IdealNode(ctx3.one(), deletion, yz),
         IdealNode(mono(other, "a"), deletion, yz),
+        # a leaf that is 1, and a leaf b*c from another context
+        IdealNode(mono(ctx3, "x"), deletion, IdealLeaf(ctx3.one())),
+        IdealNode(mono(ctx3, "x"), deletion, IdealLeaf(mono(other, "b*c"))),
     ]
     for cert in bogus:
         with pytest.raises(InvalidCertificateError):
@@ -216,6 +219,25 @@ def test_invalid_certificate_rejected(ctx3):
         for derive in (order_from_certificate, betti_recursive, pd_reg_from_certificate):
             with pytest.raises(InvalidCertificateError):
                 derive(cert)
+
+    from kdecomp import reg_pd_complex
+
+    tri = SimplicialComplex.from_facets(ctx3, [[0, 1], [0, 2], [1, 2]])
+    good = k_decomposable_complex(tri, 0)
+    verify_complex_certificate(tri, good, 0)
+    bogus_complex = [
+        ComplexNode(good.sigma, good.link, good.deletion),  # swapped subtrees
+        ComplexNode(frozenset({0, 1}), good.deletion, good.link),  # dim 1 at k = 0
+        ComplexNode(frozenset({0, 1, 2}), good.deletion, good.link),  # not a face
+        ComplexNode(frozenset(), good.deletion, good.link),  # empty sigma
+        ComplexLeaf(None),  # void leaf
+        ComplexLeaf(frozenset({0, 1})),  # wrong leaf facet
+    ]
+    for cert in bogus_complex:
+        with pytest.raises(InvalidCertificateError):
+            verify_complex_certificate(tri, cert, 0)
+        with pytest.raises(InvalidCertificateError):
+            reg_pd_complex(tri, cert)
 
 
 def test_budget_raises(ctx4):

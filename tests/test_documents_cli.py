@@ -285,6 +285,17 @@ def test_cli_invariants_zero_ideal_notes_conventions(tmp_path, capsys):
     assert obj["quotient"] == {"reg": 0, "pd": 0}
     assert obj["notes"]
 
+    # one facet on 30 vertices: the nonface ideal is zero, found without
+    # walking the 2^30 vertex subsets
+    names = [f"v{i}" for i in range(30)]
+    path.write_text(json.dumps({"kind": "complex", "vars": names, "facets": [names]}))
+    code, out, _ = run_cli(capsys, ["invariants", str(path)])
+    assert code == 0
+    assert out == (
+        "quotient: reg = 0, pd = 0\n"
+        "note: the nonface ideal is zero; conventions reg=pd=0 used\n"
+    )
+
 
 def test_cli_parse_error_exit(capsys, monkeypatch):
     code, _, err = run_cli(

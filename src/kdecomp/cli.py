@@ -3,7 +3,7 @@
 Subcommands: dual, betti, decompose, invariants, clutter, verify.
 Exit status: 0 success/verified, 1 definitive negative or property
 violation (a counterexample is printed), 2 usage or parse error,
-3 undecided (a search or oracle budget was exceeded).
+3 undecided (a search or oracle budget or Python's recursion limit was hit).
 
 Output is deterministic: identical inputs, flags and seeds produce
 byte-identical output, and randomized commands require an explicit seed.
@@ -26,7 +26,6 @@ from . import resolution as res
 from .errors import (
     BudgetExceededError,
     DocumentError,
-    ImproperIdealError,
     KdecompError,
     PropertyViolationError,
 )
@@ -469,12 +468,12 @@ def main(argv=None) -> int:
     except BudgetExceededError as exc:
         print(f"undecided: {exc}", file=sys.stderr)
         return EXIT_UNDECIDED
+    except RecursionError:
+        print("undecided: input too deep for Python's recursion limit", file=sys.stderr)
+        return EXIT_UNDECIDED
     except PropertyViolationError as exc:
         print(f"violation: {exc}")
         return EXIT_VIOLATION
-    except (DocumentError, ImproperIdealError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except KdecompError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -36,10 +36,6 @@ from .monomials import Monomial, MonomialIdeal, VariableContext
 DEFAULT_NODE_BUDGET = 500_000
 
 
-def _exponents(ideal: MonomialIdeal) -> tuple[tuple[int, ...], ...]:
-    return tuple(g.exponents for g in ideal.gens)
-
-
 def _check_u(ctx: VariableContext, u: Monomial) -> None:
     if u.ctx != ctx:
         raise ContextMismatchError("u lives in a different context")
@@ -81,15 +77,15 @@ def split(ideal: MonomialIdeal, u: Monomial) -> tuple[MonomialIdeal, MonomialIde
     """Partition G(I) into (I^u, I_u) by the predicate [u, .]."""
     ctx = ideal.ctx
     _check_u(ctx, u)
-    halves = _split(_exponents(ideal), u.exponents)
-    return tuple(MonomialIdeal(ctx, tuple(map(ctx.monomial, h))) for h in halves)
+    halves = _split(ideal.exps, u.exponents)
+    return tuple(MonomialIdeal(ctx, h) for h in halves)
 
 
 def is_shedding_monomial(ideal: MonomialIdeal, u: Monomial) -> bool:
     """u sheds I when I_u != 0 and every generator of I_u is one colon step
     away from some generator of I^u, in every support variable of u."""
     _check_u(ideal.ctx, u)
-    return _shedding_split(_exponents(ideal), u.exponents) is not None
+    return _shedding_split(ideal.exps, u.exponents) is not None
 
 
 @dataclass(frozen=True)
@@ -127,11 +123,11 @@ def verify_ideal_certificate(
         ideal = MonomialIdeal.from_monomials(ctx, leaves)
     except (ContextMismatchError, ImproperIdealError) as e:
         raise InvalidCertificateError(f"certificate leaves: {e}") from None
-    if len(ideal.gens) != len(leaves):
+    if len(ideal.exps) != len(leaves):
         raise InvalidCertificateError("certificate leaves are not a minimal set")
     if expected is not None and ideal != expected:
         raise InvalidCertificateError("certificate does not describe this ideal")
-    _verify_ideal_node(cert, ctx, _exponents(ideal), k)
+    _verify_ideal_node(cert, ctx, ideal.exps, k)
     return ideal
 
 
@@ -212,7 +208,7 @@ def k_decomposable_ideal(
         raise ZeroIdealError("the zero ideal has no decomposition")
     if memo is None:
         memo = {}
-    return _search_ideal(ideal.ctx, _exponents(ideal), k, memo, _Budget(node_budget))
+    return _search_ideal(ideal.ctx, ideal.exps, k, memo, _Budget(node_budget))
 
 
 def _search_ideal(ctx, gens, k, memo, budget) -> IdealCertificate | None:

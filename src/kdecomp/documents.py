@@ -112,7 +112,7 @@ def parse_object(obj) -> ParsedDocument:
         if any(g.is_one for g in gens):
             raise ImproperIdealError("generators contain 1 (unit ideal)")
         ideal = MonomialIdeal.from_monomials(ctx, gens)
-        if len(ideal.gens) != len(gens):
+        if len(ideal.exps) != len(gens):
             warnings.append("duplicate or non-minimal generators were minimalized")
         return ParsedDocument("ideal", ideal, warnings)
 

@@ -13,13 +13,15 @@ multidegrees of the lcm lattice of the generators.  They differ only in
 the face test applied to the subsets of each multidegree's support (the
 two complexes are Alexander dual, so the routes stay independent checks
 of each other) and in the homological index the homology feeds.  One
-cache holds their tables, keyed by route, generators and field.
+cache holds their tables, keyed by route, generators and field; once it
+holds ORACLE_CACHE_SIZE tables, the oldest is dropped first.
 """
 
 from __future__ import annotations
 
 from itertools import product
 from operator import or_
+from threading import Lock
 
 from .betti import BettiTable
 from .complexes import SimplicialComplex, stanley_reisner_ideal
@@ -165,7 +167,9 @@ def reduced_homology_dims(delta: SimplicialComplex, field=None) -> list[int]:
     return homology_dims_from_masks(masks, field)
 
 
+ORACLE_CACHE_SIZE = 4096
 _oracle_cache: dict = {}
+_oracle_cache_lock = Lock()
 
 
 def _lcm_closure(gens, join) -> set:
@@ -210,7 +214,7 @@ def _oracle_table(ideal: MonomialIdeal, field, route: str) -> BettiTable:
     hochster = route == "hochster"
     if hochster and not ideal.is_squarefree:
         raise ValueError("this oracle needs a squarefree ideal")
-    gens = tuple(g.exponents for g in ideal.gens)
+    gens = ideal.exps
     key = (route, gens, field)
     cached = _oracle_cache.get(key)
     if cached is not None:
@@ -229,7 +233,7 @@ def _oracle_table(ideal: MonomialIdeal, field, route: str) -> BettiTable:
         degrees = product(*(range(e + 1) for e in lcm))
     elif hochster:
         # squarefree: the lattice degrees are unions of supports, as masks
-        supports = [g.support_bits for g in ideal.gens]
+        supports = [sum(e << v for v, e in enumerate(g)) for g in gens]
         degrees = _lcm_closure(supports, or_)
     else:
         degrees = _lcm_closure(gens, lambda a, b: tuple(map(max, a, b)))
@@ -255,7 +259,10 @@ def _oracle_table(ideal: MonomialIdeal, field, route: str) -> BettiTable:
                 entries[(i, j)] = entries.get((i, j), 0) + h
 
     table = BettiTable(entries, minimal=True)
-    _oracle_cache[key] = table
+    with _oracle_cache_lock:
+        if len(_oracle_cache) >= ORACLE_CACHE_SIZE:
+            del _oracle_cache[next(iter(_oracle_cache))]
+        _oracle_cache[key] = table
     return table
 
 

@@ -3,11 +3,15 @@
 All values are immutable and hashable; every operation is pure.  Vertex
 sets are represented throughout as frozensets of variable indices into a
 shared :class:`VariableContext`.
+
+A :class:`MonomialIdeal` keeps its minimal generators as exponent tuples,
+minimalized by :func:`minimal_exponents`; ``gens`` views them as monomials.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable
 
 from .errors import ContextMismatchError, ImproperIdealError
@@ -85,21 +89,8 @@ class Monomial:
         return all(e == 0 for e in self.exponents)
 
     @property
-    def is_squarefree(self) -> bool:
-        return all(e <= 1 for e in self.exponents)
-
-    @property
     def support(self) -> frozenset[int]:
         return frozenset(i for i, e in enumerate(self.exponents) if e)
-
-    @property
-    def support_bits(self) -> int:
-        """Bitset view of the support, for set arithmetic on indices."""
-        bits = 0
-        for i, e in enumerate(self.exponents):
-            if e:
-                bits |= 1 << i
-        return bits
 
     def divides(self, other: "Monomial") -> bool:
         self._check(other)
@@ -129,39 +120,41 @@ class Monomial:
         return "*".join(parts)
 
 
-def minimal_monomials(monomials: Iterable[Monomial]) -> list[Monomial]:
-    """Drop every monomial strictly divisible by another; canonical order.
+def minimal_exponents(exps: Iterable[tuple[int, ...]]) -> tuple[tuple[int, ...], ...]:
+    """Drop every exponent tuple that another one divides; canonical order.
 
     The canonical listing order used everywhere in the package is
     decreasing lexicographic order on exponent vectors (x before y, so
-    e.g. x*y < x*z < y*z as a listing).
+    e.g. x*y < x*z < y*z as a listing).  A proper divisor precedes its
+    multiples in increasing lex order, so an ascending pass suffices.
     """
-    distinct = sorted(set(monomials), key=lambda m: m.exponents, reverse=True)
-    kept: list[Monomial] = []
-    for m in distinct:
-        if not any(other != m and other.divides(m) for other in distinct):
-            kept.append(m)
-    return kept
+    kept: list[tuple[int, ...]] = []
+    for e in sorted(set(exps)):
+        if not any(all(a <= b for a, b in zip(k, e)) for k in kept):
+            kept.append(e)
+    return tuple(reversed(kept))
 
 
 @dataclass(frozen=True)
 class MonomialIdeal:
     """A monomial ideal given by its minimal generating set.
 
-    Generators are pairwise incomparable under divisibility and stored in
-    the canonical order of :func:`minimal_monomials`.  The empty tuple is
-    the zero ideal; the unit ideal is not representable.
+    `exps` holds the minimal generators as exponent tuples, pairwise
+    incomparable under divisibility and in the canonical order of
+    :func:`minimal_exponents`.  The empty tuple is the zero ideal; the
+    unit ideal is not representable.
     """
 
     ctx: VariableContext
-    gens: tuple[Monomial, ...]
+    exps: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        for g in self.gens:
-            if g.is_one:
+        n = self.ctx.n
+        for e in self.exps:
+            if len(e) != n or min(e, default=0) < 0:
+                raise ValueError(f"{e} is not an exponent vector for {n} variables")
+            if not any(e):
                 raise ImproperIdealError("1 cannot be a minimal generator")
-            if g.ctx != self.ctx:
-                raise ContextMismatchError("generator from a different context")
 
     @classmethod
     def from_monomials(
@@ -171,15 +164,22 @@ class MonomialIdeal:
         monomials = list(monomials)
         if any(m.is_one for m in monomials):
             raise ImproperIdealError("generating set contains 1 (unit ideal)")
-        return cls(ctx, tuple(minimal_monomials(monomials)))
+        if any(m.ctx != ctx for m in monomials):
+            raise ContextMismatchError("generator from a different context")
+        return cls(ctx, minimal_exponents(m.exponents for m in monomials))
+
+    @cached_property
+    def gens(self) -> tuple[Monomial, ...]:
+        """The minimal generators as monomials, in canonical order."""
+        return tuple(Monomial(self.ctx, e) for e in self.exps)
 
     @property
     def is_zero(self) -> bool:
-        return not self.gens
+        return not self.exps
 
     @property
     def is_squarefree(self) -> bool:
-        return all(g.is_squarefree for g in self.gens)
+        return all(max(e) <= 1 for e in self.exps)
 
     def contains(self, m: Monomial) -> bool:
         """Membership test for monomials: some generator divides m."""

@@ -26,7 +26,7 @@ from .decomposition import (
 )
 from .errors import InvalidCertificateError, ZeroIdealError
 from .homology import betti_hochster
-from .monomials import Monomial, MonomialIdeal, minimal_monomials
+from .monomials import Monomial, MonomialIdeal, minimal_exponents
 
 
 @dataclass(frozen=True)
@@ -53,12 +53,9 @@ class QuotientOrder:
 def colon_is_variable_generated(prefix, f: Monomial) -> frozenset[int] | None:
     """Support of (prefix) : (f) when that colon ideal is generated by
     variables, else None.  An empty prefix gives the empty set."""
-    colons = minimal_monomials(p.colon(f) for p in prefix)
-    if all(c.degree == 1 for c in colons):
-        out: set[int] = set()
-        for c in colons:
-            out |= c.support
-        return frozenset(out)
+    colons = minimal_exponents(p.colon(f).exponents for p in prefix)
+    if all(sum(c) == 1 for c in colons):
+        return frozenset(c.index(1) for c in colons)
     return None
 
 

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import sys
 from random import Random
 
 import pytest
@@ -368,6 +369,33 @@ def test_cli_rejects_bad_input_with_usage_exit(tmp_path, capsys, document, argv,
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert named in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["decompose", "--k", "0"],
+        ["decompose", "--k", "-1", "--json"],
+        ["betti", "--method", "recursive"],
+    ],
+)
+def test_cli_deep_certificate_exits_undecided(tmp_path, capsys, argv):
+    # (x, y)^300 sheds one generator per level, so its certificate is 300
+    # levels deep; a lowered recursion limit keeps the run short.
+    n = 300
+    path = tmp_path / "deep.json"
+    gens = [[i, n - i] for i in range(n + 1)]
+    path.write_text(json.dumps({"kind": "ideal", "vars": ["x", "y"], "gens": gens}))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(250)
+    try:
+        code, out, err = run_cli(capsys, argv[:1] + [str(path)] + argv[1:])
+    finally:
+        sys.setrecursionlimit(limit)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("undecided: ") and err.count("\n") == 1
+    assert "recursion limit" in err and "Traceback" not in err
 
 
 def test_cli_verify_rejects_negative_count(capsys):

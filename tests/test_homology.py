@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import sys
+import threading
 from itertools import combinations
 from random import Random
 
@@ -195,6 +197,44 @@ def test_oracle_rejects_zero_and_nonsquarefree(ctx3):
         betti_hochster(MonomialIdeal.from_monomials(ctx3, []))
     with pytest.raises(ValueError):
         betti_hochster(ideal(ctx3, "x^2"))
+
+
+def test_oracle_cache_is_bounded(ctx3, monkeypatch):
+    from kdecomp import homology
+
+    monkeypatch.setattr(homology, "ORACLE_CACHE_SIZE", 2)
+    monkeypatch.setattr(homology, "_oracle_cache", {})
+    ideals = [ideal(ctx3, "x*y", "y*z"), ideal(ctx3, "x", "y*z"), ideal(ctx3, "x^2", "y")]
+    tables = [betti_koszul(i) for i in ideals]
+    assert len(homology._oracle_cache) <= 2
+    assert ("koszul", ideals[0].exps, None) not in homology._oracle_cache
+    again = betti_koszul(ideals[0])
+    assert again is not tables[0] and again == tables[0]
+    assert len(homology._oracle_cache) <= 2
+
+    # Threads evicting from the one shared cache lose no table and raise nothing.
+    errors = []
+
+    def work():
+        try:
+            for _ in range(300):
+                for i, t in zip(ideals, tables):
+                    assert betti_koszul(i) == t
+        except Exception as exc:  # reported by the main thread
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work) for _ in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == [] and len(homology._oracle_cache) <= 2
 
 
 def test_koszul_budget(ctx3):

@@ -66,9 +66,29 @@ def test_minimalize(ctx3):
     ) == ideal(ctx3, "x^2", "y")
 
 
-def test_minimalize_rejects_unit(ctx3):
+def test_minimalize_rejects_unit(ctx3, ctx4):
     with pytest.raises(ImproperIdealError):
         MonomialIdeal.from_monomials(ctx3, [ctx3.one(), mono(ctx3, "x")])
+    with pytest.raises(ContextMismatchError):
+        MonomialIdeal.from_monomials(ctx3, [mono(ctx3, "x"), ctx4.variable(0)])
+    with pytest.raises(ContextMismatchError):
+        MonomialIdeal.from_monomials(ctx3, [ctx4.variable(0)])
+    # the unit check runs first, over the whole set
+    for gens in ([ctx3.one(), ctx4.variable(0)], [ctx4.variable(0), ctx3.one()]):
+        with pytest.raises(ImproperIdealError):
+            MonomialIdeal.from_monomials(ctx3, gens)
+    with pytest.raises(ImproperIdealError):
+        MonomialIdeal(ctx3, ((1, 0, 0), (0, 0, 0)))
+    for bad in ((1, 0), (1, 0, 0, 0), (1, -1, 0)):
+        with pytest.raises(ValueError):
+            MonomialIdeal(ctx3, (bad,))
+
+
+def minimal_by_definition(monomials):
+    """Keep m when no distinct m' divides it; decreasing exponent order."""
+    distinct = set(monomials)
+    kept = [m for m in distinct if not any(o != m and o.divides(m) for o in distinct)]
+    return tuple(sorted(kept, key=lambda m: m.exponents, reverse=True))
 
 
 def test_minimalize_idempotent_and_order_insensitive(ctx4):
@@ -76,6 +96,7 @@ def test_minimalize_idempotent_and_order_insensitive(ctx4):
     for _ in range(100):
         monomials = [random_monomial(rng, ctx4, 3) for _ in range(rng.randint(1, 8))]
         first = MonomialIdeal.from_monomials(ctx4, monomials)
+        assert first.gens == minimal_by_definition(monomials)
         rng.shuffle(monomials)
         assert MonomialIdeal.from_monomials(ctx4, monomials) == first
         assert MonomialIdeal.from_monomials(ctx4, first.gens) == first

@@ -70,7 +70,10 @@ def _parse_field(text: str):
 def _cmd_dual(args) -> int:
     parsed = _read_document(args.file)
     if parsed.kind == "ideal":
-        out = cx.alexander_dual_ideal(parsed.value)
+        try:
+            out = cx.alexander_dual_ideal(parsed.value)
+        except ValueError as exc:
+            raise DocumentError(str(exc)) from None
     elif parsed.kind == "complex":
         out = cx.alexander_dual_complex(parsed.value)
     else:
@@ -129,29 +132,26 @@ def _cmd_decompose(args) -> int:
         if args.mode == "dual":
             raise DocumentError("dual mode applies to complexes only")
         cert = dec.k_decomposable_ideal(parsed.value, k, node_budget=args.budget)
-        if cert is None:
-            print(f"not {k}-decomposable" if k >= 0 else "not decomposable")
-            return EXIT_VIOLATION
-        dec.verify_ideal_certificate(cert, k, parsed.value)
-        if args.json:
-            _emit_json(doc.ideal_certificate_object(cert))
-        else:
-            print(doc.ideal_certificate_text(cert))
-        return EXIT_OK
-    if parsed.kind == "complex":
+    elif parsed.kind == "complex":
         cert = dec.k_decomposable_complex(
             parsed.value, k, mode=args.mode, node_budget=args.budget
         )
-        if cert is None:
-            print(f"not {k}-decomposable" if k >= 0 else "not decomposable")
-            return EXIT_VIOLATION
+    else:
+        raise DocumentError("decompose expects an ideal or a complex")
+    if cert is None:
+        print(f"not {k}-decomposable" if k >= 0 else "not decomposable")
+        return EXIT_VIOLATION
+    if parsed.kind == "ideal":
+        dec.verify_ideal_certificate(cert, k, parsed.value)
+        obj = doc.ideal_certificate_object(cert)
+    else:
         dec.verify_complex_certificate(parsed.value, cert, k)
-        if args.json:
-            _emit_json(doc.complex_certificate_object(cert, parsed.value.ctx))
-        else:
-            print(doc.complex_certificate_text(cert, parsed.value.ctx))
-        return EXIT_OK
-    raise DocumentError("decompose expects an ideal or a complex")
+        obj = doc.complex_certificate_object(cert, parsed.value.ctx)
+    if args.json:
+        _emit_json(obj)
+    else:
+        print(doc.certificate_text(obj))
+    return EXIT_OK
 
 
 def _cmd_invariants(args) -> int:
@@ -241,9 +241,7 @@ def _cmd_clutter(args) -> int:
         raise DocumentError(f"unknown vertex {args.vertex!r}") from None
     if x not in clutter.vertices:
         raise DocumentError(f"{args.vertex!r} is not a vertex of the clutter")
-    edge = frozenset(
-        doc.vertex_list([v.strip() for v in args.edge.split(",")], ctx, "edge")
-    )
+    edge = doc.vertex_list([v.strip() for v in args.edge.split(",")], ctx, "edge")
     try:
         report = cl.chordal_reg_bound(clutter, x, edge)
     except ValueError as exc:

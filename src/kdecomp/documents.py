@@ -57,6 +57,10 @@ def monomial_from_string(text: str, ctx: VariableContext) -> Monomial:
 
 
 def vertex_list(items, ctx: VariableContext, what: str) -> frozenset[int]:
+    # A string would be read one character at a time.  An element that is
+    # not a declared name, a number or a list included, is unknown below.
+    if not isinstance(items, list):
+        raise DocumentError(f"{what} must be a list of variable names, got {items!r}")
     out = set()
     for name in items:
         try:
@@ -200,37 +204,25 @@ def complex_certificate_object(cert: ComplexCertificate, ctx: VariableContext) -
     }
 
 
-def ideal_certificate_text(cert: IdealCertificate, indent: int = 0) -> str:
+def certificate_text(obj: dict, indent: int = 0) -> str:
+    """Indented text form of an ideal or complex certificate object."""
     pad = "  " * indent
-    if isinstance(cert, IdealLeaf):
-        return f"{pad}leaf: {cert.generator}"
+    if obj["kind"] == "leaf":
+        if "generator" in obj:
+            return f"{pad}leaf: {obj['generator']}"
+        facet = obj["facet"]
+        return f"{pad}leaf: " + ("void" if facet is None else f"{{{','.join(facet)}}}")
+    if "u" in obj:
+        head = f"u = {obj['u']}"
+    else:
+        head = f"sigma = {{{','.join(obj['sigma'])}}}"
     return "\n".join(
         [
-            f"{pad}u = {cert.u}",
+            pad + head,
             f"{pad}  deletion:",
-            ideal_certificate_text(cert.deletion, indent + 2),
+            certificate_text(obj["deletion"], indent + 2),
             f"{pad}  link:",
-            ideal_certificate_text(cert.link, indent + 2),
-        ]
-    )
-
-
-def complex_certificate_text(
-    cert: ComplexCertificate, ctx: VariableContext, indent: int = 0
-) -> str:
-    pad = "  " * indent
-    if isinstance(cert, ComplexLeaf):
-        if cert.facet is None:
-            return f"{pad}leaf: void"
-        return f"{pad}leaf: {{{','.join(ctx.set_names(cert.facet))}}}"
-    sigma = ",".join(ctx.set_names(cert.sigma))
-    return "\n".join(
-        [
-            f"{pad}sigma = {{{sigma}}}",
-            f"{pad}  deletion:",
-            complex_certificate_text(cert.deletion, ctx, indent + 2),
-            f"{pad}  link:",
-            complex_certificate_text(cert.link, ctx, indent + 2),
+            certificate_text(obj["link"], indent + 2),
         ]
     )
 

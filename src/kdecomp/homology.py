@@ -2,8 +2,14 @@
 
 This module is the independent ground truth the formula-based
 computations are validated against.  Reduced simplicial homology is
-computed from boundary-matrix ranks: fraction-free (Bareiss) integer
-elimination for the rationals, ordinary elimination for a prime field.
+computed from boundary-matrix ranks.  One fraction-free (Bareiss)
+elimination serves both fields.  Over the rationals each update is
+divided exactly by the previous pivot, which keeps the integer entries
+from growing.  Over GF(p) the same update runs with the previous pivot
+fixed at 1 and is reduced mod p: replacing a row r by p*r - f*q, where
+q is the pivot row and p its nonzero pivot, is an invertible row
+operation, so the rank is kept, and reduction mod p already keeps the
+entries small, so no exact division is needed.
 
 Faces are handled as integer bitmasks over vertex indices throughout.
 
@@ -43,61 +49,40 @@ def check_field(field) -> None:
             raise ValueError(f"{field} is not prime")
 
 
-def _rank_rational(rows: list[list[int]]) -> int:
-    """Rank of an integer matrix over the rationals, fraction-free."""
-    m = [row[:] for row in rows]
-    nr = len(m)
-    nc = len(m[0]) if nr else 0
+def _rank(rows: list[list[int]], field) -> int:
+    """Rank of an integer matrix over the rationals (`field` None) or
+    GF(`field`), by Bareiss elimination of `rows` in place."""
+    # an entry divisible by p must read as zero in the pivot search
+    if field is not None:
+        for row in rows:
+            row[:] = [v % field for v in row]
+    nr = len(rows)
+    nc = len(rows[0]) if nr else 0
     rank = 0
     prev = 1
     for col in range(nc):
-        piv = next((r for r in range(rank, nr) if m[r][col]), None)
+        piv = next((r for r in range(rank, nr) if rows[r][col]), None)
         if piv is None:
             continue
-        m[rank], m[piv] = m[piv], m[rank]
-        p = m[rank][col]
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        prow = rows[rank]
+        p = prow[col]
         for r in range(rank + 1, nr):
-            row, prow = m[r], m[rank]
+            row = rows[r]
             f = row[col]
-            for c in range(col + 1, nc):
-                row[c] = (row[c] * p - f * prow[c]) // prev
+            if field is None:
+                for c in range(col + 1, nc):
+                    row[c] = (row[c] * p - f * prow[c]) // prev
+            else:
+                for c in range(col + 1, nc):
+                    row[c] = (row[c] * p - f * prow[c]) % field
             row[col] = 0
-        prev = p
+        if field is None:
+            prev = p
         rank += 1
         if rank == nr:
             break
     return rank
-
-
-def _rank_mod_p(rows: list[list[int]], p: int) -> int:
-    m = [[v % p for v in row] for row in rows]
-    nr = len(m)
-    nc = len(m[0]) if nr else 0
-    rank = 0
-    for col in range(nc):
-        piv = next((r for r in range(rank, nr) if m[r][col]), None)
-        if piv is None:
-            continue
-        m[rank], m[piv] = m[piv], m[rank]
-        inv = pow(m[rank][col], -1, p)
-        for r in range(rank + 1, nr):
-            f = m[r][col] * inv % p
-            if f:
-                row, prow = m[r], m[rank]
-                for c in range(col, nc):
-                    row[c] = (row[c] - f * prow[c]) % p
-        rank += 1
-        if rank == nr:
-            break
-    return rank
-
-
-def _rank(rows: list[list[int]], field) -> int:
-    if not rows or not rows[0]:
-        return 0
-    if field is None:
-        return _rank_rational(rows)
-    return _rank_mod_p(rows, field)
 
 
 def _faces_by_cardinality(face_masks) -> list[list[int]]:

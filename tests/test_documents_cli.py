@@ -349,6 +349,44 @@ def test_parse_rejects_boolean_exponents():
             ["clutter", "minor", "--ops", "contract:x,contract:y"],
             "'y'",
         ),
+        # facets, edges and vertex lists that are not lists of names
+        (
+            '{"kind":"complex","vars":["x","y"],"facets":[4]}',
+            ["decompose", "--k", "0"],
+            "facet must be a list of variable names, got 4",
+        ),
+        (
+            '{"kind":"complex","vars":["x","y"],"facets":[null]}',
+            ["invariants"],
+            "got None",
+        ),
+        (
+            '{"kind":"complex","vars":["x","y"],"facets":[true]}',
+            ["dual"],
+            "got True",
+        ),
+        (
+            '{"kind":"complex","vars":["x","y"],"facets":[["x"]],"vertices":4}',
+            ["invariants"],
+            "vertices must be a list of variable names, got 4",
+        ),
+        # a string is not read one character at a time
+        (
+            '{"kind":"complex","vars":["x","y"],"facets":["xy"]}',
+            ["decompose", "--k", "0"],
+            "got 'xy'",
+        ),
+        (
+            '{"kind":"clutter","vars":["x","y","z"],"edges":["xy","yz"]}',
+            ["clutter", "chordal"],
+            "edge must be a list of variable names, got 'xy'",
+        ),
+        # Alexander duality of an ideal that is not squarefree
+        (
+            '{"kind":"ideal","vars":["x","y"],"gens":["x^2","y"]}',
+            ["dual", "--json"],
+            "squarefree",
+        ),
     ],
     ids=[
         "negative-exponent",
@@ -358,6 +396,13 @@ def test_parse_rejects_boolean_exponents():
         "k-below-minus-one",
         "negative-budget",
         "minor-contraction-empties-edge",
+        "facet-number",
+        "facet-null",
+        "facet-boolean",
+        "vertices-number",
+        "facet-string",
+        "edge-strings",
+        "dual-not-squarefree",
     ],
 )
 def test_cli_rejects_bad_input_with_usage_exit(tmp_path, capsys, document, argv, named):

@@ -21,7 +21,7 @@ from kdecomp import (
     stanley_reisner_ideal,
 )
 from kdecomp.generators import random_complex, random_monomial_ideal, random_squarefree_ideal
-from kdecomp.homology import homology_dims_from_masks
+from kdecomp.homology import _rank, homology_dims_from_masks
 
 from conftest import ideal
 
@@ -123,13 +123,59 @@ def test_koszul_goldens(ctx3):
     assert betti_koszul(tri) == betti_hochster(tri)
 
 
+RP2_FACETS = [[0, 1, 2], [0, 2, 3], [0, 3, 4], [0, 4, 5], [0, 1, 5],
+              [1, 2, 4], [1, 3, 4], [1, 3, 5], [2, 3, 5], [2, 4, 5]]
+
+
 def rp2_nonface_ideal():
     """Nonface ideal of the 6-vertex real projective plane, whose Betti
     numbers over GF(2) differ from those over the rationals."""
     ctx = VariableContext.of(*"abcdef")
-    facets = [[0, 1, 2], [0, 2, 3], [0, 3, 4], [0, 4, 5], [0, 1, 5],
-              [1, 2, 4], [1, 3, 4], [1, 3, 5], [2, 3, 5], [2, 4, 5]]
-    return stanley_reisner_ideal(SimplicialComplex.from_facets(ctx, facets))
+    return stanley_reisner_ideal(SimplicialComplex.from_facets(ctx, RP2_FACETS))
+
+
+def rp2_boundary_matrices():
+    """The boundary matrices of the real projective plane, edges to
+    vertices and triangles to edges, with the alternating signs."""
+    faces = [sorted({c for f in RP2_FACETS for c in combinations(f, k)}) for k in (1, 2, 3)]
+    out = []
+    for lower, upper in zip(faces, faces[1:]):
+        row = {face: r for r, face in enumerate(lower)}
+        m = [[0] * len(upper) for _ in lower]
+        for col, face in enumerate(upper):
+            for pos in range(len(face)):
+                m[row[face[:pos] + face[pos + 1:]]][col] = (-1) ** pos
+        out.append(m)
+    return out
+
+
+def test_rank_matches_sympy_over_q_gf2_gf3():
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.matrices import DomainMatrix
+
+    rng = Random(53)
+    matrices = rp2_boundary_matrices()
+    for _ in range(300):
+        nr, nc = rng.randint(1, 7), rng.randint(1, 7)
+        if rng.random() < 0.5:
+            # an (nr x r)(r x nc) product has rank at most r
+            r = rng.randint(0, min(nr, nc) - 1)
+            a = [[rng.randint(-3, 3) for _ in range(r)] for _ in range(nr)]
+            b = [[rng.randint(-3, 3) for _ in range(nc)] for _ in range(r)]
+            m = [[sum(a[i][t] * b[t][j] for t in range(r)) for j in range(nc)]
+                 for i in range(nr)]
+        else:
+            m = [[rng.choice([0, 0, 0, 1, -1, 2, -2, 3, 6, -9]) for _ in range(nc)]
+                 for _ in range(nr)]
+        matrices.append(m)
+    for m in matrices:
+        exact = DomainMatrix.from_list(m, sympy.ZZ)
+        assert _rank([row[:] for row in m], None) == sympy.Matrix(m).rank()
+        for p in (2, 3):
+            assert _rank([row[:] for row in m], p) == exact.convert_to(sympy.GF(p)).rank()
+    # the triangles-to-edges map of RP^2 loses a rank in characteristic 2
+    d2 = rp2_boundary_matrices()[1]
+    assert (_rank([row[:] for row in d2], None), _rank([row[:] for row in d2], 2)) == (10, 9)
 
 
 def test_koszul_equals_hochster_on_squarefree(ctx4):

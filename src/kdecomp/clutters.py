@@ -1,15 +1,19 @@
 """Clutters: minors, simplicial vertices, chordality and regularity bounds.
 
-A clutter is an antichain of edges over an explicit vertex set.  Edges
-of user-built clutters have at least two vertices; minors obtained by
-contraction may carry singleton edges (their edge ideals then pick up
-degree-one generators), and deleting a vertex keeps the remaining
-vertices even when they become isolated.
+A clutter is an antichain of edges over an explicit vertex set, both
+kept as int masks; ``vertices`` and ``edges`` view them as frozensets.
+:meth:`Clutter.from_edges` is the checked constructor: its vertices lie
+in the context and its edges have at least two vertices.  Minors are
+antichains by construction and are not checked again.  Contraction may
+leave singleton edges (their edge ideals then pick up degree-one
+generators), and deleting a vertex keeps the remaining vertices even
+when they become isolated.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 from typing import Iterable
 
@@ -26,7 +30,7 @@ from .errors import (
     PropertyViolationError,
 )
 from .homology import oracle_quotient_reg_pd
-from .monomials import MonomialIdeal, VariableContext
+from .monomials import MonomialIdeal, VariableContext, bits, mask_of
 
 CHORDALITY_VERTEX_BUDGET = 10
 
@@ -34,19 +38,8 @@ CHORDALITY_VERTEX_BUDGET = 10
 @dataclass(frozen=True)
 class Clutter:
     ctx: VariableContext
-    vertices: frozenset[int]
-    edges: frozenset[frozenset[int]]
-
-    def __post_init__(self):
-        for e in self.edges:
-            if not e:
-                raise ImproperContractionError("empty edge in clutter")
-            if not e <= self.vertices:
-                raise ValueError("edge mentions a vertex outside the clutter")
-        for a in self.edges:
-            for b in self.edges:
-                if a < b:
-                    raise ValueError("edges must be pairwise incomparable")
+    vertex_mask: int
+    edge_masks: frozenset[int]
 
     @classmethod
     def from_edges(
@@ -61,20 +54,26 @@ class Clutter:
         for e in edge_sets:
             if len(e) < 2:
                 raise ValueError(f"user edges need at least two vertices: {sorted(e)}")
+        declared = frozenset(vertices or ())
+        if any(not 0 <= v < ctx.n for v in declared.union(*edge_sets)):
+            raise ValueError("vertex index outside the context")
         minimal = antichain(edge_sets, minimal=True)
-        union = frozenset().union(*minimal) if minimal else frozenset()
-        declared = union if vertices is None else union | frozenset(vertices)
-        return cls(ctx, declared, minimal)
+        return cls(ctx, mask_of(declared.union(*minimal)), frozenset(map(mask_of, minimal)))
+
+    @cached_property
+    def vertices(self) -> frozenset[int]:
+        return frozenset(bits(self.vertex_mask))
+
+    @cached_property
+    def edges(self) -> frozenset[frozenset[int]]:
+        return frozenset(frozenset(bits(e)) for e in self.edge_masks)
 
     @property
     def is_edgeless(self) -> bool:
-        return not self.edges
+        return not self.edge_masks
 
     def canonical_key(self) -> tuple:
-        return (
-            tuple(sorted(self.vertices)),
-            tuple(sorted(tuple(sorted(e)) for e in self.edges)),
-        )
+        return (self.vertex_mask, tuple(sorted(self.edge_masks)))
 
     def __str__(self) -> str:
         names = self.ctx.set_names
@@ -85,30 +84,42 @@ class Clutter:
         return f"clutter({verts}; [{edges}])"
 
 
-def deletion(clutter: Clutter, v: int) -> Clutter:
-    """Remove the vertex and every edge through it."""
+def _inside(edges: Iterable[int], mask: int) -> bool:
+    """Some edge mask lies inside `mask`."""
+    return any(e & mask == e for e in edges)
+
+
+def _vertex_bit(clutter: Clutter, v: int) -> int:
     if v not in clutter.vertices:
         raise KeyError(f"unknown vertex {v}")
+    return 1 << v
+
+
+def deletion(clutter: Clutter, v: int) -> Clutter:
+    """Remove the vertex and every edge through it."""
+    bit = _vertex_bit(clutter, v)
     return Clutter(
         clutter.ctx,
-        clutter.vertices - {v},
-        frozenset(e for e in clutter.edges if v not in e),
+        clutter.vertex_mask ^ bit,
+        frozenset(e for e in clutter.edge_masks if not e & bit),
     )
 
 
 def contraction(clutter: Clutter, v: int) -> Clutter:
-    """Remove the vertex from every edge and keep the minimal results."""
-    if v not in clutter.vertices:
-        raise KeyError(f"unknown vertex {v}")
-    if frozenset([v]) in clutter.edges:
+    """Remove the vertex from every edge and keep the minimal results.
+
+    The cut edges e - {v} of the edges through v are pairwise
+    incomparable, and none contains an edge avoiding v, so only the
+    edges avoiding v that contain a cut edge are dropped.
+    """
+    bit = _vertex_bit(clutter, v)
+    if bit in clutter.edge_masks:
         raise ImproperContractionError(
             f"contracting {clutter.ctx.names[v]!r} would create an empty edge"
         )
-    return Clutter(
-        clutter.ctx,
-        clutter.vertices - {v},
-        antichain((e - {v} for e in clutter.edges), minimal=True),
-    )
+    cut = [e ^ bit for e in clutter.edge_masks if e & bit]
+    uncut = [e for e in clutter.edge_masks if not e & bit and not _inside(cut, e)]
+    return Clutter(clutter.ctx, clutter.vertex_mask ^ bit, frozenset(cut + uncut))
 
 
 def contraction_set(clutter: Clutter, vertices: Iterable[int]) -> Clutter:
@@ -117,39 +128,34 @@ def contraction_set(clutter: Clutter, vertices: Iterable[int]) -> Clutter:
     The result does not depend on the elimination order.
     """
     todo = frozenset(vertices)
-    if any(e <= todo for e in clutter.edges):
+    if _inside(clutter.edge_masks, mask_of(todo & clutter.vertices)):
         raise ImproperContractionError("an edge lies inside the contraction set")
-    out = clutter
-    for v in sorted(todo):
-        out = contraction(out, v)
-    return out
+    return apply_trace(clutter, (MinorStep("contract", v) for v in sorted(todo)))
 
 
 def is_simplicial_vertex(clutter: Clutter, v: int) -> bool:
     """Every pair of edges through v is completed by an edge avoiding v."""
-    if v not in clutter.vertices:
-        raise KeyError(f"unknown vertex {v}")
-    incident = [e for e in clutter.edges if v in e]
-    for e1, e2 in combinations(incident, 2):
-        hull = (e1 | e2) - {v}
-        if not any(e3 <= hull for e3 in clutter.edges):
-            return False
-    return True
+    bit = _vertex_bit(clutter, v)
+    edges = clutter.edge_masks
+    incident = [e for e in edges if e & bit]
+    return all(_inside(edges, (e1 | e2) ^ bit) for e1, e2 in combinations(incident, 2))
+
+
+def _edge_through(clutter: Clutter, x: int, e: Iterable[int]) -> int:
+    """The mask of `e`, which must be an edge of the clutter through x."""
+    e = frozenset(e)
+    if e not in clutter.edges or x not in e:
+        raise ValueError("need a vertex contained in an edge of the clutter")
+    return mask_of(e)
 
 
 def is_containment_pair(clutter: Clutter, v: int, e: frozenset[int]) -> bool:
     """For every other edge through v there is an edge inside the union
     minus v."""
-    e = frozenset(e)
-    if e not in clutter.edges or v not in e:
-        raise ValueError("need a vertex contained in an edge of the clutter")
-    for e2 in clutter.edges:
-        if e2 == e or v not in e2:
-            continue
-        hull = (e | e2) - {v}
-        if not any(e3 <= hull for e3 in clutter.edges):
-            return False
-    return True
+    em = _edge_through(clutter, v, e)
+    bit = 1 << v
+    edges = clutter.edge_masks
+    return all(_inside(edges, (em | e2) ^ bit) for e2 in edges if e2 != em and e2 & bit)
 
 
 @dataclass(frozen=True)
@@ -197,27 +203,22 @@ def is_chordal(
 
 def _chordal_rec(clutter: Clutter, trace: MinorTrace, memo: dict):
     key = clutter.canonical_key()
-    known = memo.get(key)
-    if known is True:
+    if memo.get(key) is True:
         return True, None
     # Edgeless minors are fine and all their minors are edgeless too.
     if clutter.is_edgeless:
         memo[key] = True
         return True, None
-    if not any(is_simplicial_vertex(clutter, v) for v in sorted(clutter.vertices)):
+    verts = bits(clutter.vertex_mask)
+    if not any(is_simplicial_vertex(clutter, v) for v in verts):
         memo[key] = False
         return False, trace
-    for v in sorted(clutter.vertices):
-        ok, witness = _chordal_rec(
-            deletion(clutter, v), trace + (MinorStep("delete", v),), memo
-        )
-        if not ok:
-            memo[key] = False
-            return False, witness
-        if frozenset([v]) not in clutter.edges:
-            ok, witness = _chordal_rec(
-                contraction(clutter, v), trace + (MinorStep("contract", v),), memo
-            )
+    for v in verts:
+        for kind in ("delete", "contract"):
+            if kind == "contract" and (1 << v) in clutter.edge_masks:
+                continue  # it would leave an empty edge
+            step = MinorStep(kind, v)
+            ok, witness = _chordal_rec(apply_trace(clutter, (step,)), trace + (step,), memo)
             if not ok:
                 memo[key] = False
                 return False, witness
@@ -227,10 +228,7 @@ def _chordal_rec(clutter: Clutter, trace: MinorTrace, memo: dict):
 
 def edge_ideal(clutter: Clutter) -> MonomialIdeal:
     """The ideal generated by the edge monomials; edgeless gives zero."""
-    ctx = clutter.ctx
-    return MonomialIdeal.from_monomials(
-        ctx, (ctx.monomial_of_set(e) for e in clutter.edges)
-    )
+    return MonomialIdeal.from_masks(clutter.ctx, clutter.edge_masks)
 
 
 def lemma_h_ideals(
@@ -244,18 +242,15 @@ def lemma_h_ideals(
     sigma.  Both are checked against the complex-side computation; a
     mismatch is an internal error.
     """
-    e = frozenset(e)
-    if e not in clutter.edges or x not in e:
-        raise ValueError("need a vertex contained in an edge of the clutter")
-    sigma = e - {x}
-    if not sigma:
+    sigma_mask = _edge_through(clutter, x, e) ^ (1 << x)
+    if not sigma_mask:
         raise ValueError("the edge must have another vertex besides x")
-    ctx = clutter.ctx
+    sigma = frozenset(bits(sigma_mask))
 
-    gens = [ctx.monomial_of_set(sigma)]
+    masks = [sigma_mask]
     for v in sorted(sigma):
-        gens.extend(edge_ideal(deletion(clutter, v)).gens)
-    deletion_ideal = MonomialIdeal.from_monomials(ctx, gens)
+        masks.extend(deletion(clutter, v).edge_masks)
+    deletion_ideal = MonomialIdeal.from_masks(clutter.ctx, masks)
     link_ideal = edge_ideal(contraction_set(clutter, sigma))
 
     delta = complex_from_nonfaces(clutter)
@@ -314,26 +309,21 @@ def chordal_reg_bound(
     e = frozenset(e)
     if not is_simplicial_vertex(clutter, x):
         raise ValueError(f"{x} is not a simplicial vertex")
-    if e not in clutter.edges or x not in e:
-        raise ValueError("need a vertex contained in an edge of the clutter")
-    sigma = e - {x}
-    if not sigma:
+    sigma_mask = _edge_through(clutter, x, e) ^ (1 << x)
+    if not sigma_mask:
         raise ValueError("the edge must have another vertex besides x")
+    sigma = bits(sigma_mask)
     d = len(sigma)
-    ctx = clutter.ctx
 
-    ideal = edge_ideal(clutter)
-    reg = oracle_quotient_reg_pd(ideal, field)[0]
-    with_sigma = MonomialIdeal.from_monomials(
-        ctx, (ctx.monomial_of_set(sigma),) + ideal.gens
-    )
+    reg = oracle_quotient_reg_pd(edge_ideal(clutter), field)[0]
+    with_sigma = MonomialIdeal.from_masks(clutter.ctx, [sigma_mask, *clutter.edge_masks])
     identity_deletion = oracle_quotient_reg_pd(with_sigma, field)[0]
     contracted = edge_ideal(contraction_set(clutter, sigma))
     link_term = oracle_quotient_reg_pd(contracted, field)[0] + d
     bound_deletion = (
         sum(
             oracle_quotient_reg_pd(edge_ideal(deletion(clutter, v)), field)[0]
-            for v in sorted(sigma)
+            for v in sigma
         )
         + d
         - 1
@@ -367,29 +357,25 @@ def chordal_reg_bound(
 def graph_is_chordal_bruteforce(clutter: Clutter) -> bool:
     """Classical chordality for 2-uniform clutters, decided independently:
     scan every vertex subset for an induced chordless cycle of length >= 4."""
-    if any(len(e) != 2 for e in clutter.edges):
+    if any(e.bit_count() != 2 for e in clutter.edge_masks):
         raise ValueError("needs a graph (all edges of size 2)")
-    verts = sorted(clutter.vertices)
-    adjacent = {v: set() for v in verts}
-    for e in clutter.edges:
-        a, b = sorted(e)
-        adjacent[a].add(b)
-        adjacent[b].add(a)
+    verts = bits(clutter.vertex_mask)
+    adjacent = dict.fromkeys(verts, 0)  # neighbour masks
+    for e in clutter.edge_masks:
+        for v in bits(e):
+            adjacent[v] |= e ^ (1 << v)
     for r in range(4, len(verts) + 1):
         for subset in combinations(verts, r):
-            degs = [len(adjacent[v] & set(subset)) for v in subset]
-            if any(d != 2 for d in degs):
+            inside = mask_of(subset)
+            if any((adjacent[v] & inside).bit_count() != 2 for v in subset):
                 continue
             # 2-regular induced subgraph: a disjoint union of cycles; it is
             # a single (chordless) cycle iff connected.
-            seen = {subset[0]}
-            frontier = [subset[0]]
-            while frontier:
-                v = frontier.pop()
-                for w in adjacent[v] & set(subset):
-                    if w not in seen:
-                        seen.add(w)
-                        frontier.append(w)
-            if len(seen) == r:
+            seen, reached = 0, 1 << subset[0]
+            while reached != seen:
+                seen = reached
+                for v in bits(seen):
+                    reached |= adjacent[v] & inside
+            if seen == inside:
                 return False
     return True

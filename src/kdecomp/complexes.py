@@ -29,7 +29,7 @@ from .errors import (
     NotAFaceError,
     VoidComplexError,
 )
-from .monomials import MonomialIdeal, VariableContext
+from .monomials import MonomialIdeal, VariableContext, mask_of
 
 VertexSet = frozenset[int]
 
@@ -183,10 +183,9 @@ def stanley_reisner_ideal(
     ambient_set = delta.vertices if ambient is None else frozenset(ambient)
     if not delta.vertices <= ambient_set:
         raise ValueError("ambient must contain the vertex set of the complex")
-    ctx = delta.ctx
-    gens = [ctx.monomial_of_set(n) for n in minimal_nonfaces(delta)]
-    gens += [ctx.variable(v) for v in ambient_set - delta.vertices]
-    return MonomialIdeal.from_monomials(ctx, gens)
+    masks = [mask_of(n) for n in minimal_nonfaces(delta)]
+    masks += [1 << v for v in ambient_set - delta.vertices]
+    return MonomialIdeal.from_masks(delta.ctx, masks)
 
 
 def independence_complex(
@@ -240,9 +239,7 @@ def alexander_dual_ideal(ideal: MonomialIdeal) -> MonomialIdeal:
     if ideal.is_zero:
         raise ImproperIdealError("the dual of the zero ideal is the unit ideal")
     covers = _minimal_transversals(g.support for g in ideal.gens)
-    return MonomialIdeal.from_monomials(
-        ideal.ctx, (ideal.ctx.monomial_of_set(c) for c in covers)
-    )
+    return MonomialIdeal.from_masks(ideal.ctx, map(mask_of, covers))
 
 
 def link(delta: SimplicialComplex, face: Iterable[int]) -> SimplicialComplex:

@@ -31,7 +31,7 @@ from .errors import (
     NotAFaceError,
     ZeroIdealError,
 )
-from .monomials import Monomial, MonomialIdeal, VariableContext
+from .monomials import Monomial, MonomialIdeal, VariableContext, mask_of
 
 DEFAULT_NODE_BUDGET = 500_000
 
@@ -341,9 +341,8 @@ def facet_complement_ideal(delta: SimplicialComplex) -> MonomialIdeal:
     ideal of the Alexander dual."""
     if delta.is_void:
         raise ZeroIdealError("the void complex has no facet-complement ideal")
-    ctx = delta.ctx
-    return MonomialIdeal.from_monomials(
-        ctx, (ctx.monomial_of_set(delta.vertices - f) for f in delta.facets)
+    return MonomialIdeal.from_masks(
+        delta.ctx, (mask_of(delta.vertices - f) for f in delta.facets)
     )
 
 

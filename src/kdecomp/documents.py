@@ -159,26 +159,20 @@ def emit_object(value) -> dict:
             "gens": [str(g) for g in value.gens],
         }
     if isinstance(value, SimplicialComplex):
-        out = {
-            "kind": "complex",
-            "vars": list(value.ctx.names),
-            "facets": [value.ctx.set_names(f) for f in sorted(value.facets, key=sorted)],
-        }
-        union = frozenset().union(*value.facets) if value.facets else frozenset()
-        if value.vertices != union:
-            out["vertices"] = value.ctx.set_names(value.vertices)
-        return out
-    if isinstance(value, Clutter):
-        out = {
-            "kind": "clutter",
-            "vars": list(value.ctx.names),
-            "edges": [value.ctx.set_names(e) for e in sorted(value.edges, key=sorted)],
-        }
-        union = frozenset().union(*value.edges) if value.edges else frozenset()
-        if value.vertices != union:
-            out["vertices"] = value.ctx.set_names(value.vertices)
-        return out
-    raise TypeError(f"cannot emit {type(value).__name__}")
+        kind, key, sets = "complex", "facets", value.facets
+    elif isinstance(value, Clutter):
+        kind, key, sets = "clutter", "edges", value.edges
+    else:
+        raise TypeError(f"cannot emit {type(value).__name__}")
+    names = value.ctx.set_names
+    out = {
+        "kind": kind,
+        "vars": list(value.ctx.names),
+        key: [names(s) for s in sorted(sets, key=sorted)],
+    }
+    if value.vertices != frozenset().union(*sets):
+        out["vertices"] = names(value.vertices)
+    return out
 
 
 def ideal_certificate_object(cert: IdealCertificate) -> dict:

@@ -32,7 +32,7 @@ from threading import Lock
 from .betti import BettiTable
 from .complexes import SimplicialComplex, stanley_reisner_ideal
 from .errors import BudgetExceededError, ZeroIdealError
-from .monomials import MonomialIdeal
+from .monomials import MonomialIdeal, bits, mask_of
 
 VERTEX_BUDGET = 20
 LCM_DEGREE_BUDGET = 24
@@ -102,8 +102,7 @@ def _boundary_rank(lower: list[int], upper: list[int], field) -> int:
     row_index = {mask: r for r, mask in enumerate(lower)}
     rows = [[0] * len(upper) for _ in lower]
     for col, sigma in enumerate(upper):
-        verts = [v for v in range(sigma.bit_length()) if sigma >> v & 1]
-        for pos, v in enumerate(verts):
+        for pos, v in enumerate(bits(sigma)):
             rows[row_index[sigma ^ (1 << v)]][col] = -1 if pos % 2 else 1
     return _rank(rows, field)
 
@@ -121,10 +120,8 @@ def homology_dims_from_masks(face_masks, field=None) -> list[int]:
         present |= m
     # A cone is contractible: if some vertex extends every face, all the
     # reduced homology vanishes and no ranks are needed.
-    v = present
-    while v:
-        bit = v & -v
-        v ^= bit
+    for v in bits(present):
+        bit = 1 << v
         if all(m | bit in face_set for m in face_masks):
             top = max(bin(m).count("1") for m in face_masks)
             return [0] * (top + 1)
@@ -148,7 +145,7 @@ def reduced_homology_dims(delta: SimplicialComplex, field=None) -> list[int]:
         return []
     masks = set()
     for facet in delta.facets:
-        masks.update(_submasks(sum(1 << v for v in facet)))
+        masks.update(_submasks(mask_of(facet)))
     return homology_dims_from_masks(masks, field)
 
 

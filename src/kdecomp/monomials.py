@@ -1,8 +1,10 @@
 """Variable contexts, monomials and minimally generated monomial ideals.
 
 All values are immutable and hashable; every operation is pure.  Vertex
-sets are represented throughout as frozensets of variable indices into a
-shared :class:`VariableContext`.
+sets are frozensets of variable indices into a shared
+:class:`VariableContext` at the API, and int masks (bit v for vertex v)
+below it, in clutters and homology; :func:`mask_of` and :func:`bits`
+convert, and :meth:`MonomialIdeal.from_masks` builds squarefree ideals.
 
 A :class:`MonomialIdeal` keeps its minimal generators as exponent tuples,
 minimalized by :func:`minimal_exponents`; ``gens`` views them as monomials.
@@ -120,6 +122,16 @@ class Monomial:
         return "*".join(parts)
 
 
+def mask_of(vertices: Iterable[int]) -> int:
+    """The int mask of a vertex set: bit v is set for each vertex v."""
+    return sum({1 << v for v in vertices})
+
+
+def bits(mask: int) -> list[int]:
+    """The vertices of an int mask, in increasing order."""
+    return [v for v in range(mask.bit_length()) if mask >> v & 1]
+
+
 def minimal_exponents(exps: Iterable[tuple[int, ...]]) -> tuple[tuple[int, ...], ...]:
     """Drop every exponent tuple that another one divides; canonical order.
 
@@ -167,6 +179,17 @@ class MonomialIdeal:
         if any(m.ctx != ctx for m in monomials):
             raise ContextMismatchError("generator from a different context")
         return cls(ctx, minimal_exponents(m.exponents for m in monomials))
+
+    @classmethod
+    def from_masks(cls, ctx: VariableContext, masks: Iterable[int]) -> "MonomialIdeal":
+        """Minimalize the squarefree monomials with the given support masks;
+        raises if 1 (the empty mask) occurs."""
+        masks, n = list(masks), ctx.n
+        if any(m >> n for m in masks):
+            raise ValueError("vertex index outside the context")
+        # tuple([...]), not tuple(genexpr): the latter measurably raised peak memory
+        exps = [tuple([m >> v & 1 for v in range(n)]) for m in masks]
+        return cls(ctx, minimal_exponents(exps))
 
     @cached_property
     def gens(self) -> tuple[Monomial, ...]:

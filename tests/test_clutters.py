@@ -34,6 +34,12 @@ def test_user_edges_need_two_vertices(ctx3):
         Clutter.from_edges(ctx3, [[0]])
 
 
+def test_from_edges_rejects_vertices_outside_the_context(ctx3):
+    for edges, vertices in (([[0, -1]], None), ([[0, 5]], None), ([[0, 1]], [7])):
+        with pytest.raises(ValueError, match="outside the context"):
+            Clutter.from_edges(ctx3, edges, vertices=vertices)
+
+
 def test_deletion(ctx3, ctx4):
     tri = triangle(ctx3)
     assert deletion(tri, 0).edges == frozenset({frozenset({1, 2})})

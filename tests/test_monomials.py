@@ -82,6 +82,12 @@ def test_minimalize_rejects_unit(ctx3, ctx4):
     for bad in ((1, 0), (1, 0, 0, 0), (1, -1, 0)):
         with pytest.raises(ValueError):
             MonomialIdeal(ctx3, (bad,))
+    # support masks: the empty one is 1, and a bit past the context is no vertex
+    assert MonomialIdeal.from_masks(ctx3, [0b011, 0b111, 0b100]) == ideal(ctx3, "x*y", "z")
+    with pytest.raises(ImproperIdealError):
+        MonomialIdeal.from_masks(ctx3, [0b001, 0])
+    with pytest.raises(ValueError, match="outside the context"):
+        MonomialIdeal.from_masks(ctx3, [0b001, 0b1000])
 
 
 def minimal_by_definition(monomials):

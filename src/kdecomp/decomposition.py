@@ -10,6 +10,14 @@ them.
 Inputs are validated once, by the public functions.  Below them the
 split, the shedding test, the search and the certificate check run on
 exponent tuples; a Monomial is built only for a certificate node or leaf.
+Each node of a search or a check keeps its generators as bits of int
+masks, with two tables filled on first use: I_u is the AND of the masks
+{g : g_i < u_i} over supp(u), and the witness test reads, for each m in
+I_u and i in supp(u), the mask {g : g : m = x_i} against I^u.  The search
+skips a candidate whose support and I_u mask it already tried at the
+node: the split and the verdict would be the same, and both subtrees are
+memoized, so the first winner, the memo keys and the node count do not
+change.
 
 Determinism: candidates are tried in lexicographic order of their sorted
 support/vertex tuple, then of the exponent vector, and the first valid
@@ -36,6 +44,11 @@ from .monomials import Monomial, MonomialIdeal, VariableContext, mask_of
 DEFAULT_NODE_BUDGET = 500_000
 
 
+def _check_k(k: int) -> None:
+    if k < -1:
+        raise ValueError(f"k must be -1 (no bound) or at least 0, got {k}")
+
+
 def _check_u(ctx: VariableContext, u: Monomial) -> None:
     if u.ctx != ctx:
         raise ContextMismatchError("u lives in a different context")
@@ -43,49 +56,82 @@ def _check_u(ctx: VariableContext, u: Monomial) -> None:
         raise ValueError("the predicate [u, M] is vacuous for u = 1")
 
 
-def _split(gens, u):
-    """(I^u, I_u) in the order of gens: g is in I_u when [u, g] = 1, that
-    is g_i < u_i for every i with u_i > 0."""
-    bounds = [(i, a) for i, a in enumerate(u) if a]
-    upper, lower = [], []
-    for g in gens:
-        (lower if all(g[i] < a for i, a in bounds) else upper).append(g)
-    return tuple(upper), tuple(lower)
+class _Node:
+    """One node's generators as mask bits (bit j is gens[j]), with the one
+    copy of the predicate and the witness test; tables fill on first use."""
 
+    __slots__ = ("gens", "full", "below", "wit")
 
-def _shedding_split(gens, u):
-    """(I^u, I_u) when u sheds: for each m in I_u and i in supp(u) some g
-    in I^u has g : m = x_i, i.e. max(g_j - m_j, 0) = [j = i] for all j."""
-    upper, lower = _split(gens, u)
-    if not upper or not lower:
-        return None  # nothing to shed, or the witnesses cannot exist
-    support = {i for i, a in enumerate(u) if a}
-    for m in lower:
-        colons = ([max(a - b, 0) for a, b in zip(g, m)] for g in upper)
-        if not support <= {c.index(1) for c in colons if sum(c) == 1}:
-            return None
-    return upper, lower
+    def __init__(self, gens):
+        self.gens, self.full = gens, (1 << len(gens)) - 1
+        self.below = {}  # (i, e) -> mask of the g with g_i < e
+        self.wit = [None] * len(gens)  # j -> [mask of the g with g : gens[j] = x_i]
+
+    def lower(self, bounds) -> int:
+        """The mask of I_u for the pairs (i, u_i) over supp(u): g is in I_u
+        when g_i < u_i for all of them, and in I^u otherwise."""
+        lower, below = self.full, self.below
+        for b in bounds:
+            m = below.get(b)
+            if m is None:
+                m = below[b] = sum([1 << j for j, g in enumerate(self.gens) if g[b[0]] < b[1]])
+            lower &= m
+        return lower
+
+    def sheds(self, support, lower) -> bool:
+        """For each m in I_u and i in the support some g in I^u has g : m = x_i,
+        i.e. max(g_l - m_l, 0) = [l = i] for all l."""
+        upper = self.full ^ lower
+        if not upper or not lower:
+            return False  # nothing to shed, or the witnesses cannot exist
+        while lower:
+            j = (lower & -lower).bit_length() - 1
+            lower &= lower - 1
+            row = self.wit[j] or self._witnesses(j)
+            for i in support:
+                if not row[i] & upper:
+                    return False
+        return True
+
+    def _witnesses(self, j) -> list[int]:
+        m = self.gens[j]
+        row = self.wit[j] = [0] * len(m)
+        for t, g in enumerate(self.gens):
+            over = [i for i, (a, b) in enumerate(zip(g, m)) if a > b]
+            if len(over) == 1 and g[over[0]] == m[over[0]] + 1:
+                row[over[0]] |= 1 << t
+        return row
+
+    def pick(self, mask) -> tuple:
+        return tuple([g for j, g in enumerate(self.gens) if mask >> j & 1])
+
+    def split(self, u) -> tuple[list[int], int]:
+        """supp(u) and the mask of I_u for an exponent vector u."""
+        support = [i for i, a in enumerate(u) if a]
+        return support, self.lower([(i, u[i]) for i in support])
 
 
 def matches(u: Monomial, m: Monomial) -> bool:
     """The predicate [u, M] = 1: no x_i^{a_i} with a_i > 0 in u divides M."""
     _check_u(m.ctx, u)
-    return not _split((m.exponents,), u.exponents)[0]
+    return bool(_Node((m.exponents,)).split(u.exponents)[1])
 
 
 def split(ideal: MonomialIdeal, u: Monomial) -> tuple[MonomialIdeal, MonomialIdeal]:
     """Partition G(I) into (I^u, I_u) by the predicate [u, .]."""
     ctx = ideal.ctx
     _check_u(ctx, u)
-    halves = _split(ideal.exps, u.exponents)
-    return tuple(MonomialIdeal(ctx, h) for h in halves)
+    node = _Node(ideal.exps)
+    lower = node.split(u.exponents)[1]
+    return tuple(MonomialIdeal(ctx, node.pick(m)) for m in (node.full ^ lower, lower))
 
 
 def is_shedding_monomial(ideal: MonomialIdeal, u: Monomial) -> bool:
     """u sheds I when I_u != 0 and every generator of I_u is one colon step
     away from some generator of I^u, in every support variable of u."""
     _check_u(ideal.ctx, u)
-    return _shedding_split(ideal.exps, u.exponents) is not None
+    node = _Node(ideal.exps)
+    return node.sheds(*node.split(u.exponents))
 
 
 @dataclass(frozen=True)
@@ -117,6 +163,7 @@ def verify_ideal_certificate(
     Raises InvalidCertificateError when any shedding claim, split or the
     support bound fails.
     """
+    _check_k(k)
     leaves = certificate_generators(cert)
     ctx = leaves[0].ctx
     try:
@@ -145,39 +192,39 @@ def _verify_ideal_node(cert: IdealCertificate, ctx, gens, k: int) -> None:
         raise InvalidCertificateError(
             f"|supp(u)| = {len(u.support)} exceeds k + 1 = {k + 1}"
         )
-    parts = _shedding_split(gens, u.exponents)
-    if parts is None:
+    node = _Node(gens)
+    support, lower = node.split(u.exponents)
+    if not node.sheds(support, lower):
         raise InvalidCertificateError(f"{u} is not a shedding monomial here")
-    _verify_ideal_node(cert.deletion, ctx, parts[0], k)
-    _verify_ideal_node(cert.link, ctx, parts[1], k)
+    _verify_ideal_node(cert.deletion, ctx, node.pick(node.full ^ lower), k)
+    _verify_ideal_node(cert.link, ctx, node.pick(lower), k)
 
 
-def _shedding_candidates(gens, cap: int):
-    """Candidate shedding exponent vectors in deterministic order.
+def _shedding_candidates(node: _Node, cap: int):
+    """Candidate shedding monomials in deterministic order, each as its
+    support, its bounds (i, u_i) and the mask of its I_u.
 
     For each variable the candidate exponents are exactly the positive
     exponents occurring among the generators, so the space is finite and
     complete up to the threshold semantics of the predicate.  Supports
     are enumerated in lexicographic order of their sorted index tuple,
-    exponent choices in ascending product order.
+    exponent choices in ascending product order; repeats of a support and
+    I_u already yielded are skipped.
     """
-    occurring: dict[int, list[int]] = {}
-    for g in gens:
-        for i, e in enumerate(g):
-            if e > 0:
-                occurring.setdefault(i, []).append(e)
-    variables = sorted(occurring)
-    exps = {i: sorted(set(v)) for i, v in occurring.items()}
+    n = len(node.gens[0])
+    bounds = [[(i, e) for e in sorted({g[i] for g in node.gens} - {0})] for i in range(n)]
+    variables = [i for i in range(n) if bounds[i]]
     supports: list[tuple[int, ...]] = []
     for r in range(1, min(cap, len(variables)) + 1):
         supports.extend(combinations(variables, r))
     supports.sort()
     for supp in supports:
-        for choice in product(*(exps[i] for i in supp)):
-            vec = [0] * len(gens[0])
-            for i, e in zip(supp, choice):
-                vec[i] = e
-            yield tuple(vec)
+        tried = set()
+        for choice in product(*(bounds[i] for i in supp)):
+            lower = node.lower(choice)
+            if lower not in tried:
+                tried.add(lower)
+                yield supp, choice, lower
 
 
 class _Budget:
@@ -204,6 +251,7 @@ def k_decomposable_ideal(
     search space is exhausted (a definitive negative); raises
     BudgetExceededError when the node budget runs out first.
     """
+    _check_k(k)
     if ideal.is_zero:
         raise ZeroIdealError("the zero ideal has no decomposition")
     if memo is None:
@@ -219,18 +267,21 @@ def _search_ideal(ctx, gens, k, memo, budget) -> IdealCertificate | None:
         return memo[key]
     budget.spend()
     cap = ctx.n if k < 0 else k + 1
+    node = _Node(gens)
     result = None
-    for u in _shedding_candidates(gens, cap):
-        parts = _shedding_split(gens, u)
-        if parts is None:
+    for supp, bounds, lower in _shedding_candidates(node, cap):
+        if not node.sheds(supp, lower):
             continue
-        left = _search_ideal(ctx, parts[0], k, memo, budget)
+        left = _search_ideal(ctx, node.pick(node.full ^ lower), k, memo, budget)
         if left is None:
             continue
-        right = _search_ideal(ctx, parts[1], k, memo, budget)
+        right = _search_ideal(ctx, node.pick(lower), k, memo, budget)
         if right is None:
             continue
-        result = IdealNode(Monomial(ctx, u), left, right)
+        u = [0] * ctx.n
+        for i, e in bounds:
+            u[i] = e
+        result = IdealNode(Monomial(ctx, tuple(u)), left, right)
         break
     memo[key] = result
     return result
@@ -284,6 +335,7 @@ def verify_complex_certificate(
     delta: SimplicialComplex, cert: ComplexCertificate, k: int = -1
 ) -> None:
     """Re-check a complex certificate against `delta`; raises on failure."""
+    _check_k(k)
     if isinstance(cert, ComplexLeaf):
         if cert.facet is None:
             if not delta.is_void:
@@ -321,6 +373,7 @@ def k_decomposable_complex(
     monomial with support S corresponds to the shedding face S).  The two
     modes agree; certificates from either re-verify directly.
     """
+    _check_k(k)
     if mode not in ("direct", "dual"):
         raise ValueError(f"unknown mode {mode!r}")
     if memo is None:

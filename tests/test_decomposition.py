@@ -149,6 +149,26 @@ def test_k_decomposable_complex_goldens(ctx3):
         verify_complex_certificate(simplex, leaf, 0)
 
 
+def test_k_below_minus_one_is_rejected(ctx3):
+    # -1 is the only "no bound"; a smaller k used to search and store memo
+    # keys of its own
+    i = ideal(ctx3, "x*y", "x*z", "y*z")
+    tri = SimplicialComplex.from_facets(ctx3, [[0, 1], [0, 2], [1, 2]])
+    ideal_cert = k_decomposable_ideal(i, -1)
+    complex_cert = k_decomposable_complex(tri, -1)
+    memo: dict = {}
+    with pytest.raises(ValueError, match="-2"):
+        k_decomposable_ideal(i, -2, memo)
+    assert memo == {}
+    for mode in ("direct", "dual"):
+        with pytest.raises(ValueError, match="-2"):
+            k_decomposable_complex(tri, -2, mode=mode)
+    with pytest.raises(ValueError, match="-2"):
+        verify_ideal_certificate(ideal_cert, -2)
+    with pytest.raises(ValueError, match="-2"):
+        verify_complex_certificate(tri, complex_cert, -2)
+
+
 def test_dual_mode_transports_certificates(ctx3):
     tri = SimplicialComplex.from_facets(ctx3, [[0, 1], [0, 2], [1, 2]])
     direct = k_decomposable_complex(tri, 0, mode="direct")

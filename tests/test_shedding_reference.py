@@ -5,8 +5,12 @@ divides M; it splits G(I) into I^u (the predicate fails) and I_u (it
 holds).  u sheds I when I_u != 0 and, for every m in G(I_u) and every
 i in supp(u), some g in G(I^u) has g : m = x_i.  The reference below
 spells this out with Monomial.divides and Monomial.colon, so it shares
-no code with the exponent-vector routine behind `split`, `matches` and
-`is_shedding_monomial`.
+no code with the generator-mask routine behind `split`, `matches`,
+`is_shedding_monomial` and the search.
+
+`reference_search` is the ideal search written on that reference: the
+same candidate order, memo keys and node budget, but every candidate is
+tested, with no masks and no skipping of repeated splits.
 """
 
 from __future__ import annotations
@@ -19,11 +23,16 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
 from kdecomp import (
+    BudgetExceededError,
+    IdealLeaf,
+    IdealNode,
     MonomialIdeal,
     VariableContext,
     is_shedding_monomial,
+    k_decomposable_ideal,
     matches,
     split,
+    verify_ideal_certificate,
 )
 
 
@@ -65,18 +74,18 @@ def candidates(ideal):
 
 @st.composite
 def ideals(draw):
-    """Nonzero ideals on 2-4 variables; a top exponent of 1 makes them
-    squarefree."""
-    n = draw(st.integers(2, 4))
+    """Nonzero ideals on 2-5 variables with at most 8 generators; a top
+    exponent of 1 makes them squarefree."""
+    n = draw(st.integers(2, 5))
     top = draw(st.integers(1, 3))
     vectors = draw(
         st.lists(
             st.tuples(*[st.integers(0, top)] * n).filter(any),
             min_size=1,
-            max_size=7,
+            max_size=8,
         )
     )
-    ctx = VariableContext(tuple("xyzw"[:n]))
+    ctx = VariableContext(tuple("xyzwv"[:n]))
     return MonomialIdeal.from_monomials(ctx, [ctx.monomial(v) for v in vectors])
 
 
@@ -91,3 +100,76 @@ def test_shedding_test_matches_definition(ideal):
         assert lower.gens == tuple(g for g in ideal.gens if matches_by_definition(u, g))
         assert all(matches(u, g) == matches_by_definition(u, g) for g in ideal.gens)
         assert is_shedding_monomial(ideal, u) == sheds_by_definition(ideal, u), str(u)
+
+
+def reference_candidates(gens, cap):
+    """Exponent vectors in the search order: supports in lex order of their
+    sorted index tuple, then each exponent choice among the positive
+    exponents occurring in gens, in ascending product order."""
+    n = len(gens[0])
+    exps = {i: sorted({g[i] for g in gens} - {0}) for i in range(n)}
+    variables = [i for i in range(n) if exps[i]]
+    supports = sorted(
+        s for r in range(1, min(cap, len(variables)) + 1)
+        for s in combinations(variables, r)
+    )
+    for supp in supports:
+        for choice in product(*(exps[i] for i in supp)):
+            vec = [0] * n
+            for i, e in zip(supp, choice):
+                vec[i] = e
+            yield tuple(vec)
+
+
+def reference_search(ideal, k, memo, budget):
+    """(certificate or None, nodes spent); memo keys are (ctx, gens, k)."""
+    ctx = ideal.ctx
+    spent = 0
+
+    def search(gens):
+        nonlocal spent
+        if len(gens) == 1:
+            return IdealLeaf(ctx.monomial(gens[0]))
+        key = (ctx, gens, k)
+        if key in memo:
+            return memo[key]
+        spent += 1
+        if spent > budget:
+            raise BudgetExceededError("reference budget exhausted")
+        sub = MonomialIdeal(ctx, gens)
+        result = None
+        for vec in reference_candidates(gens, ctx.n if k < 0 else k + 1):
+            u = ctx.monomial(vec)
+            if not sheds_by_definition(sub, u):
+                continue
+            upper = tuple(g.exponents for g in sub.gens if not matches_by_definition(u, g))
+            lower = tuple(g.exponents for g in sub.gens if matches_by_definition(u, g))
+            left = search(upper)
+            right = search(lower) if left is not None else None
+            if right is not None:
+                result = IdealNode(u, left, right)
+                break
+        memo[key] = result
+        return result
+
+    return search(ideal.exps), spent
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(ideals())
+def test_search_matches_reference(ideal):
+    for k in (-1, 0, 1, 2):
+        ref_memo: dict = {}
+        ref_cert, nodes = reference_search(ideal, k, ref_memo, 10**9)
+        memo: dict = {}
+        cert = k_decomposable_ideal(ideal, k, memo)
+        assert cert == ref_cert, k
+        assert memo.keys() == ref_memo.keys(), k
+        assert memo == ref_memo, k
+        if cert is not None:
+            assert verify_ideal_certificate(cert, k) == ideal
+        if nodes:
+            with pytest.raises(BudgetExceededError):
+                reference_search(ideal, k, {}, nodes // 2)
+            with pytest.raises(BudgetExceededError):
+                k_decomposable_ideal(ideal, k, {}, node_budget=nodes // 2)

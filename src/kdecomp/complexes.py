@@ -141,14 +141,6 @@ class SimplicialComplex:
                 out.update(frozenset(c) for c in combinations(elems, r))
         return frozenset(out)
 
-    def canonical_key(self) -> tuple:
-        """Hashable form for memo tables: sorted facet tuples only.
-
-        Declared non-face vertices are deliberately excluded; no search
-        decision in this package depends on them.
-        """
-        return tuple(sorted(tuple(sorted(f)) for f in self.facets))
-
     def __str__(self) -> str:
         if self.is_void:
             return "{}"

@@ -19,10 +19,27 @@ node: the split and the verdict would be the same, and both subtrees are
 memoized, so the first winner, the memo keys and the node count do not
 change.
 
+The complex search and check run on the facets as a sorted tuple of int
+masks, made once from the complex.  A face sigma sheds the complex when
+every face tau containing it can trade any v in sigma for some w outside
+tau and stay a face; it is enough to ask that, for every facet F holding
+sigma and every v in sigma, another facet G holds F - v.  A facet F is
+one such tau, and G must hold some w outside F, as G and F are distinct
+facets; conversely a tau below a facet F can take any w in F - tau.  So
+each facet F gets the mask of the v with F - v in another facet (the one
+vertex of F - G, whenever that is a single vertex), and sigma sheds when
+it lies in that mask for every facet holding it.  Then each such F - v lies
+in a facet without sigma (one with sigma would hold v, hence F), so the
+deletion has exactly the facets not holding sigma, and the link has
+F - sigma for the facets F holding it, with no minimalization on either
+side.  Faces are generated depth first, a face before its extensions by
+larger vertices, which is the lexicographic order below.
+
 Determinism: candidates are tried in lexicographic order of their sorted
 support/vertex tuple, then of the exponent vector, and the first valid
-shedding monomial or face wins.  Search failures are memoized by the
-canonical form of the object together with the bound k.
+shedding monomial or face wins.  Search results are memoized by the
+context and generator tuple of an ideal, or by the facet-mask tuple of a
+complex, together with the bound k.
 """
 
 from __future__ import annotations
@@ -30,7 +47,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations, product
 
-from .complexes import SimplicialComplex, delete_face, link
+from .complexes import SimplicialComplex
 from .errors import (
     BudgetExceededError,
     ContextMismatchError,
@@ -39,7 +56,7 @@ from .errors import (
     NotAFaceError,
     ZeroIdealError,
 )
-from .monomials import Monomial, MonomialIdeal, VariableContext, mask_of
+from .monomials import Monomial, MonomialIdeal, VariableContext, bits, mask_of
 
 DEFAULT_NODE_BUDGET = 500_000
 
@@ -151,7 +168,11 @@ IdealCertificate = IdealLeaf | IdealNode
 
 def certificate_generators(cert: IdealCertificate) -> list[Monomial]:
     if isinstance(cert, IdealLeaf):
+        if not isinstance(cert.generator, Monomial):
+            raise InvalidCertificateError(f"{cert.generator!r} is not a monomial")
         return [cert.generator]
+    if not isinstance(cert, IdealNode):
+        raise InvalidCertificateError(f"{cert!r} is not a certificate node")
     return certificate_generators(cert.deletion) + certificate_generators(cert.link)
 
 
@@ -186,6 +207,8 @@ def _verify_ideal_node(cert: IdealCertificate, ctx, gens, k: int) -> None:
             raise InvalidCertificateError("leaf does not match its ideal")
         return
     u = cert.u
+    if not isinstance(u, Monomial):
+        raise InvalidCertificateError(f"{u!r} is not a monomial")
     if u.ctx != ctx:
         raise InvalidCertificateError(f"{u} lives in a different context")
     if k >= 0 and len(u.support) > k + 1:
@@ -287,6 +310,33 @@ def _search_ideal(ctx, gens, k, memo, budget) -> IdealCertificate | None:
     return result
 
 
+def _facet_masks(delta: SimplicialComplex) -> tuple[int, ...]:
+    """The facets of `delta` as a sorted tuple of int masks.  The exchange
+    test reads facets only, so a set inside another one is dropped."""
+    masks = sorted(set(map(mask_of, delta.facets)))
+    return tuple([f for f in masks if not any(f != g and f & g == f for g in masks)])
+
+
+def _exchange_masks(facets) -> dict[int, int]:
+    """Each facet f mapped to the mask of the v in f such that f - v lies in
+    another facet g: facets form an antichain, so f & ~g is empty only for
+    g = f, and g holds f - v exactly when f & ~g is {v}."""
+    ex = {}
+    for f in facets:
+        x = 0
+        for g in facets:
+            d = f & ~g
+            if d and not d & (d - 1):
+                x |= d
+        ex[f] = x
+    return ex
+
+
+def _sheds(sigma: int, holders, ex) -> bool:
+    """The exchange test for sigma, given the facets that hold it."""
+    return not any(sigma & ~ex[f] for f in holders)
+
+
 def is_shedding_face(delta: SimplicialComplex, sigma) -> bool:
     """Exchange test: every face containing sigma can swap any vertex of
     sigma for some outside vertex and stay a face."""
@@ -295,23 +345,8 @@ def is_shedding_face(delta: SimplicialComplex, sigma) -> bool:
         raise ValueError("a shedding face must be nonempty")
     if not delta.has_face(sigma):
         raise NotAFaceError(f"{sorted(sigma)} is not a face")
-    return _is_shedding_face(delta, sigma, delta.faces())
-
-
-def _is_shedding_face(
-    delta: SimplicialComplex, sigma: frozenset[int], faces: frozenset[frozenset[int]]
-) -> bool:
-    """The exchange test for a nonempty face sigma, given all faces of delta."""
-    vertices = delta.vertices
-    for tau in faces:
-        if not sigma <= tau:
-            continue
-        outside = vertices - tau
-        for v in sigma:
-            base = tau - {v}
-            if not any(base | {w} in faces for w in outside):
-                return False
-    return True
+    facets, s = _facet_masks(delta), mask_of(sigma)
+    return _sheds(s, [f for f in facets if f & s == s], _exchange_masks(facets))
 
 
 @dataclass(frozen=True)
@@ -336,26 +371,42 @@ def verify_complex_certificate(
 ) -> None:
     """Re-check a complex certificate against `delta`; raises on failure."""
     _check_k(k)
+    _verify_complex_node(cert, _facet_masks(delta), k, delta.ctx.n)
+
+
+def _vertex_mask(face, n: int) -> int:
+    if not isinstance(face, (set, frozenset)) or not all(
+        type(v) is int and 0 <= v < n for v in face
+    ):
+        raise InvalidCertificateError(f"{face!r} is not a set of vertex indices")
+    return mask_of(face)
+
+
+def _verify_complex_node(cert, facets: tuple[int, ...], k: int, n: int) -> None:
     if isinstance(cert, ComplexLeaf):
         if cert.facet is None:
-            if not delta.is_void:
+            if facets:
                 raise InvalidCertificateError("void leaf for a non-void complex")
-        elif delta.facets != frozenset([cert.facet]):
+        elif facets != (_vertex_mask(cert.facet, n),):
             raise InvalidCertificateError("leaf facet does not match the complex")
         return
-    sigma = cert.sigma
+    if not isinstance(cert, ComplexNode):
+        raise InvalidCertificateError(f"{cert!r} is not a certificate node")
+    sigma = _vertex_mask(cert.sigma, n)
     if not sigma:
         raise InvalidCertificateError("empty shedding face in certificate")
-    if k >= 0 and len(sigma) > k + 1:
+    if k >= 0 and sigma.bit_count() > k + 1:
         raise InvalidCertificateError(
-            f"dim(sigma) = {len(sigma) - 1} exceeds k = {k}"
+            f"dim(sigma) = {sigma.bit_count() - 1} exceeds k = {k}"
         )
-    if not delta.has_face(sigma):
-        raise InvalidCertificateError(f"{sorted(sigma)} is not a face")
-    if not _is_shedding_face(delta, sigma, delta.faces()):
-        raise InvalidCertificateError(f"{sorted(sigma)} is not a shedding face")
-    verify_complex_certificate(delete_face(delta, sigma), cert.deletion, k)
-    verify_complex_certificate(link(delta, sigma), cert.link, k)
+    holders = [f for f in facets if f & sigma == sigma]
+    if not holders:
+        raise InvalidCertificateError(f"{sorted(cert.sigma)} is not a face")
+    if not _sheds(sigma, holders, _exchange_masks(facets)):
+        raise InvalidCertificateError(f"{sorted(cert.sigma)} is not a shedding face")
+    deletion = tuple([f for f in facets if f & sigma != sigma])
+    _verify_complex_node(cert.deletion, deletion, k, n)
+    _verify_complex_node(cert.link, tuple([f ^ sigma for f in holders]), k, n)
 
 
 def k_decomposable_complex(
@@ -379,9 +430,9 @@ def k_decomposable_complex(
     if memo is None:
         memo = {}
     if mode == "direct":
-        return _search_complex(delta, k, memo, _Budget(node_budget))
+        return _search_complex(_facet_masks(delta), k, memo, _Budget(node_budget))
     if delta.is_simplex:
-        return _complex_leaf(delta)
+        return _complex_leaf(_facet_masks(delta))
     dual_ideal = facet_complement_ideal(delta)
     cert = k_decomposable_ideal(dual_ideal, k, memo=memo, node_budget=node_budget)
     if cert is None:
@@ -414,35 +465,50 @@ def transport_certificate(cert: IdealCertificate, vertices) -> ComplexCertificat
     )
 
 
-def _complex_leaf(delta: SimplicialComplex) -> ComplexLeaf:
-    if delta.is_void:
-        return ComplexLeaf(None)
-    (facet,) = delta.facets
-    return ComplexLeaf(facet)
+def _complex_leaf(facets: tuple[int, ...]) -> ComplexLeaf:
+    return ComplexLeaf(frozenset(bits(facets[0])) if facets else None)
 
 
-def _search_complex(delta, k, memo, budget) -> ComplexCertificate | None:
-    if delta.is_simplex:
-        return _complex_leaf(delta)
-    key = (delta.canonical_key(), k)
+def _faces_in_order(facets, vertices, cap, face=0):
+    """The nonempty faces with at most cap vertices, each with the facets
+    holding it, in lexicographic order of their sorted vertex tuples: a
+    face, then its extensions by larger vertices."""
+    for at, v in enumerate(vertices):
+        b = 1 << v
+        inner = [f for f in facets if f & b]
+        if inner:
+            yield face | b, inner
+            if cap > 1:
+                yield from _faces_in_order(inner, vertices[at + 1 :], cap - 1, face | b)
+
+
+def _search_complex(facets, k, memo, budget) -> ComplexCertificate | None:
+    if len(facets) <= 1:
+        return _complex_leaf(facets)
+    key = (facets, k)
     if key in memo:
         return memo[key]
     budget.spend()
-    cap = len(delta.vertices) if k < 0 else k + 1
-    faces = delta.faces()
-    candidates = sorted(tuple(sorted(f)) for f in faces if 0 < len(f) <= cap)
+    union = 0
+    for f in facets:
+        union |= f
+    vertices = bits(union)
+    cap = len(vertices) if k < 0 else k + 1
+    ex = _exchange_masks(facets)
     result = None
-    for face in candidates:
-        sigma = frozenset(face)
-        if not _is_shedding_face(delta, sigma, faces):
+    for sigma, holders in _faces_in_order(facets, vertices, cap):
+        if not _sheds(sigma, holders, ex):
             continue
-        left = _search_complex(delete_face(delta, sigma), k, memo, budget)
+        # Tuples are built from lists: tuple() of a generator over-allocates,
+        # and the shrunk tuples pile up in the interpreter's free lists.
+        deletion = tuple([f for f in facets if f & sigma != sigma])
+        left = _search_complex(deletion, k, memo, budget)
         if left is None:
             continue
-        right = _search_complex(link(delta, sigma), k, memo, budget)
+        right = _search_complex(tuple([f ^ sigma for f in holders]), k, memo, budget)
         if right is None:
             continue
-        result = ComplexNode(sigma, left, right)
+        result = ComplexNode(frozenset(bits(sigma)), left, right)
         break
     memo[key] = result
     return result

@@ -232,6 +232,12 @@ def test_invalid_certificate_rejected(ctx3):
         # a leaf that is 1, and a leaf b*c from another context
         IdealNode(mono(ctx3, "x"), deletion, IdealLeaf(ctx3.one())),
         IdealNode(mono(ctx3, "x"), deletion, IdealLeaf(mono(other, "b*c"))),
+        # hand-built trees with parts that are not monomials or certificates
+        None,
+        IdealNode(None, None, None),
+        IdealNode(mono(ctx3, "x"), deletion, None),
+        IdealNode("x", deletion, yz),
+        IdealNode(mono(ctx3, "x"), deletion, IdealLeaf("y*z")),
     ]
     for cert in bogus:
         with pytest.raises(InvalidCertificateError):
@@ -252,6 +258,15 @@ def test_invalid_certificate_rejected(ctx3):
         ComplexNode(frozenset(), good.deletion, good.link),  # empty sigma
         ComplexLeaf(None),  # void leaf
         ComplexLeaf(frozenset({0, 1})),  # wrong leaf facet
+        # hand-built trees with parts that are not vertex sets or certificates
+        None,
+        ComplexNode([0], good.deletion, good.link),
+        ComplexNode(frozenset({0}), None, good.link),
+        ComplexNode(frozenset({0}), good.deletion, None),
+        ComplexNode(frozenset({"x"}), good.deletion, good.link),
+        ComplexNode(frozenset({-1}), good.deletion, good.link),
+        ComplexNode(frozenset({10**9}), good.deletion, good.link),
+        ComplexNode(frozenset({0}), ComplexLeaf([1, 2]), good.link),
     ]
     for cert in bogus_complex:
         with pytest.raises(InvalidCertificateError):

@@ -11,6 +11,13 @@ no code with the generator-mask routine behind `split`, `matches`,
 `reference_search` is the ideal search written on that reference: the
 same candidate order, memo keys and node budget, but every candidate is
 tested, with no masks and no skipping of repeated splits.
+
+For complexes, `sheds_by_exchange` is the exchange test over all faces
+as frozensets: every face tau containing sigma can trade any v in sigma
+for some w outside tau and stay a face.  `reference_search_complex`
+recurses on `delete_face` and `link`, tries every face in lexicographic
+order of its sorted vertex tuple and memoizes by the sorted facet tuples,
+so it shares no code with the facet-mask search.
 """
 
 from __future__ import annotations
@@ -24,14 +31,22 @@ from hypothesis import given, settings, strategies as st
 
 from kdecomp import (
     BudgetExceededError,
+    ComplexLeaf,
+    ComplexNode,
     IdealLeaf,
     IdealNode,
     MonomialIdeal,
+    SimplicialComplex,
     VariableContext,
+    delete_face,
+    is_shedding_face,
     is_shedding_monomial,
+    k_decomposable_complex,
     k_decomposable_ideal,
+    link,
     matches,
     split,
+    verify_complex_certificate,
     verify_ideal_certificate,
 )
 
@@ -173,3 +188,83 @@ def test_search_matches_reference(ideal):
                 reference_search(ideal, k, {}, nodes // 2)
             with pytest.raises(BudgetExceededError):
                 k_decomposable_ideal(ideal, k, {}, node_budget=nodes // 2)
+
+
+def sheds_by_exchange(delta, sigma, faces) -> bool:
+    for tau in faces:
+        if sigma <= tau:
+            outside = delta.vertices - tau
+            for v in sigma:
+                base = tau - {v}
+                if not any(base | {w} in faces for w in outside):
+                    return False
+    return True
+
+
+def reference_search_complex(delta, k, memo, budget):
+    """(certificate or None, nodes spent); memo keys are the sorted facet
+    tuples with k."""
+    spent = 0
+
+    def search(delta):
+        nonlocal spent
+        if delta.is_simplex:
+            (facet,) = delta.facets or [None]
+            return ComplexLeaf(facet)
+        key = (tuple(sorted(tuple(sorted(f)) for f in delta.facets)), k)
+        if key in memo:
+            return memo[key]
+        spent += 1
+        if spent > budget:
+            raise BudgetExceededError("reference budget exhausted")
+        cap = len(delta.vertices) if k < 0 else k + 1
+        faces = delta.faces()
+        result = None
+        for face in sorted(tuple(sorted(f)) for f in faces if 0 < len(f) <= cap):
+            sigma = frozenset(face)
+            if not sheds_by_exchange(delta, sigma, faces):
+                continue
+            left = search(delete_face(delta, sigma))
+            right = search(link(delta, sigma)) if left is not None else None
+            if right is not None:
+                result = ComplexNode(sigma, left, right)
+                break
+        memo[key] = result
+        return result
+
+    return search(delta), spent
+
+
+@st.composite
+def complexes(draw):
+    """Complexes on 2-6 vertices from 3-10 distinct nonempty faces, each
+    drawn as the bits of a mask."""
+    n = draw(st.integers(2, 6))
+    masks = draw(st.lists(st.integers(1, 2**n - 1), min_size=3, max_size=10, unique=True))
+    faces = [[v for v in range(n) if m >> v & 1] for m in masks]
+    return SimplicialComplex.from_facets(VariableContext(tuple("abcdef"[:n])), faces)
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(complexes())
+def test_complex_search_matches_reference(delta):
+    faces = delta.faces()
+    for sigma in faces - {frozenset()}:
+        assert is_shedding_face(delta, sigma) == sheds_by_exchange(delta, sigma, faces)
+    for k in (-1, 0, 1, 2):
+        ref_memo: dict = {}
+        ref_cert, nodes = reference_search_complex(delta, k, ref_memo, 10**9)
+        memo: dict = {}
+        cert = k_decomposable_complex(delta, k, memo=memo)
+        assert cert == ref_cert, k
+        assert len(memo) == len(ref_memo), k
+        for (masks, _), value in memo.items():  # keys are (facet masks, k)
+            facets = sorted(tuple(v for v in range(6) if m >> v & 1) for m in masks)
+            assert ref_memo[tuple(facets), k] == value, k
+        if cert is not None:
+            verify_complex_certificate(delta, cert, k)
+        if nodes:
+            with pytest.raises(BudgetExceededError):
+                reference_search_complex(delta, k, {}, nodes // 2)
+            with pytest.raises(BudgetExceededError):
+                k_decomposable_complex(delta, k, node_budget=nodes // 2)

@@ -13,8 +13,9 @@ when they become isolated.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import combinations
+from operator import or_
 from typing import Iterable
 
 from .complexes import (
@@ -57,8 +58,8 @@ class Clutter:
         declared = frozenset(vertices or ())
         if any(not 0 <= v < ctx.n for v in declared.union(*edge_sets)):
             raise ValueError("vertex index outside the context")
-        minimal = antichain(edge_sets, minimal=True)
-        return cls(ctx, mask_of(declared.union(*minimal)), frozenset(map(mask_of, minimal)))
+        minimal = antichain(map(mask_of, edge_sets), minimal=True)
+        return cls(ctx, reduce(or_, minimal, mask_of(declared)), frozenset(minimal))
 
     @cached_property
     def vertices(self) -> frozenset[int]:

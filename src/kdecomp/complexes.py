@@ -1,19 +1,23 @@
 """Simplicial complexes, Stanley-Reisner ideals and Alexander duality.
 
-A complex carries an explicit vertex set.  For complexes built with
-:meth:`SimplicialComplex.from_facets` every declared vertex is a face;
-Alexander duals may declare vertices that are not faces of the dual (the
-dual is always formed relative to the vertex set of the input, which is
-what makes dualizing an involution).
+A complex carries an explicit vertex set, which may hold vertices that
+are not faces (Alexander duals declare the vertex set of their input,
+which is what makes dualizing an involution).  Both are kept as int
+masks, the facets as a sorted tuple; ``vertices`` and ``facets`` view
+them as frozensets.  :meth:`SimplicialComplex.from_facets` is the checked
+constructor: its vertices lie in the context and it keeps the maximal
+faces, through :func:`antichain`, which clutters share.  Links,
+deletions, restrictions and duals are built from masks and are not
+checked again.
 
 The two degenerate complexes are encoded by their facet sets:
 ``{}`` (void, no faces at all) has no facets, and ``{{}}`` (the complex
-whose only face is the empty set) has the single facet ``frozenset()``.
+whose only face is the empty set) has the single facet mask ``0``.
 
-Vertex sets are frozensets throughout.  Every duality goes through one
-helper, :func:`_minimal_transversals` (the blocker of a clutter): the
-minimal nonfaces are the minimal transversals of the facet complements,
-the facets of an independence complex are the complements of the minimal
+Every duality goes through one helper on frozensets,
+:func:`_minimal_transversals` (the blocker of a clutter): the minimal
+nonfaces are the minimal transversals of the facet complements, the
+facets of an independence complex are the complements of the minimal
 vertex covers of its edges, and the Alexander dual of a squarefree ideal
 is generated by the minimal transversals of its generator supports.
 """
@@ -21,7 +25,9 @@ is generated by the minimal transversals of its generator supports.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, filterfalse
+from functools import cached_property, reduce
+from itertools import filterfalse
+from operator import or_
 from typing import Iterable
 
 from .errors import (
@@ -29,18 +35,21 @@ from .errors import (
     NotAFaceError,
     VoidComplexError,
 )
-from .monomials import MonomialIdeal, VariableContext, mask_of
+from .monomials import MonomialIdeal, VariableContext, bits, mask_of, submasks
 
 VertexSet = frozenset[int]
 
 
-def antichain(sets: Iterable[frozenset], minimal: bool = False) -> frozenset[frozenset]:
-    """The inclusion-maximal members of `sets`, or the inclusion-minimal
-    ones when `minimal` is set; duplicates count once."""
-    distinct = set(sets)
-    if minimal:
-        return frozenset(s for s in distinct if not any(o < s for o in distinct))
-    return frozenset(s for s in distinct if not any(s < o for o in distinct))
+def antichain(masks: Iterable[int], minimal: bool = False) -> tuple[int, ...]:
+    """The inclusion-maximal int masks of `masks`, or the inclusion-minimal
+    ones when `minimal` is set, sorted ascending; duplicates count once.
+    Masks are taken largest (smallest) first, so only kept ones compare."""
+    kept: list[int] = []
+    for m in sorted(set(masks), key=int.bit_count, reverse=not minimal):
+        if not any((k & m == k) if minimal else (k & m == m) for k in kept):
+            kept.append(m)
+    kept.sort()
+    return tuple(kept)
 
 
 def _minimal_transversals(sets: Iterable[frozenset]) -> frozenset[frozenset]:
@@ -68,20 +77,13 @@ def _minimal_transversals(sets: Iterable[frozenset]) -> frozenset[frozenset]:
 
 @dataclass(frozen=True)
 class SimplicialComplex:
-    """A simplicial complex given by its facets over an explicit vertex set."""
+    """A simplicial complex given by its facets over an explicit vertex set:
+    `facet_masks` is an antichain of int masks inside `vertex_mask`, sorted
+    ascending.  Direct construction does not check that; `from_facets` does."""
 
     ctx: VariableContext
-    vertices: VertexSet
-    facets: frozenset[VertexSet]
-
-    def __post_init__(self):
-        union: set[int] = set()
-        for f in self.facets:
-            union |= f
-        if not union <= self.vertices:
-            raise ValueError("facets mention vertices outside the declared set")
-        if any(v >= self.ctx.n or v < 0 for v in self.vertices):
-            raise ValueError("vertex index outside the context")
+    vertex_mask: int
+    facet_masks: tuple[int, ...]
 
     @classmethod
     def from_facets(
@@ -95,51 +97,51 @@ class SimplicialComplex:
         `vertices` may only enlarge the vertex set beyond the union of the
         facets; this is how duals remember their ambient vertex set.
         """
-        maximal = antichain(frozenset(f) for f in facets)
-        union = frozenset().union(*maximal) if maximal else frozenset()
-        declared = union if vertices is None else union | frozenset(vertices)
-        return cls(ctx, declared, maximal)
+        sets = [frozenset(f) for f in facets]
+        declared = frozenset(vertices or ())
+        if any(not 0 <= v < ctx.n for v in declared.union(*sets)):
+            raise ValueError("vertex index outside the context")
+        maximal = antichain(map(mask_of, sets))
+        return cls(ctx, reduce(or_, maximal, mask_of(declared)), maximal)
 
     @classmethod
     def void(cls, ctx: VariableContext, vertices: Iterable[int] = ()) -> "SimplicialComplex":
-        return cls(ctx, frozenset(vertices), frozenset())
+        return cls.from_facets(ctx, [], vertices)
 
     @classmethod
     def irrelevant(cls, ctx: VariableContext, vertices: Iterable[int] = ()) -> "SimplicialComplex":
         """The complex {{}} whose single face is the empty set."""
-        return cls(ctx, frozenset(vertices), frozenset([frozenset()]))
+        return cls.from_facets(ctx, [()], vertices)
+
+    @cached_property
+    def vertices(self) -> VertexSet:
+        return frozenset(bits(self.vertex_mask))
+
+    @cached_property
+    def facets(self) -> frozenset[VertexSet]:
+        return frozenset(frozenset(bits(f)) for f in self.facet_masks)
 
     @property
     def is_void(self) -> bool:
-        return not self.facets
+        return not self.facet_masks
 
     @property
     def is_irrelevant(self) -> bool:
-        return self.facets == frozenset([frozenset()])
+        return self.facet_masks == (0,)
 
     @property
     def is_simplex(self) -> bool:
         """One facet (the empty simplex {{}} counts) or void."""
-        return len(self.facets) <= 1
-
-    @property
-    def dim(self) -> int:
-        if self.is_void:
-            raise VoidComplexError("the void complex has no dimension")
-        return max(len(f) for f in self.facets) - 1
+        return len(self.facet_masks) <= 1
 
     def has_face(self, face: Iterable[int]) -> bool:
-        face = frozenset(face)
-        return any(face <= f for f in self.facets)
+        s = mask_of(face)
+        return any(f & s == s for f in self.facet_masks)
 
     def faces(self) -> frozenset[VertexSet]:
         """All faces (the empty face included unless the complex is void)."""
-        out: set[VertexSet] = set()
-        for f in self.facets:
-            elems = sorted(f)
-            for r in range(len(elems) + 1):
-                out.update(frozenset(c) for c in combinations(elems, r))
-        return frozenset(out)
+        masks = {s for f in self.facet_masks for s in submasks(f)}
+        return frozenset(frozenset(bits(m)) for m in masks)
 
     def __str__(self) -> str:
         if self.is_void:
@@ -148,7 +150,7 @@ class SimplicialComplex:
             return "{<>}"
         names = self.ctx.set_names
         return "<" + ", ".join(
-            "{" + ",".join(names(f)) + "}" for f in sorted(self.facets, key=sorted)
+            "{" + ",".join(names(f)) + "}" for f in sorted(map(bits, self.facet_masks))
         ) + ">"
 
 
@@ -159,7 +161,8 @@ def minimal_nonfaces(delta: SimplicialComplex) -> frozenset[VertexSet]:
     """
     if delta.is_void:
         raise VoidComplexError("the void complex has no nonfaces convention")
-    return _minimal_transversals(delta.vertices - f for f in delta.facets)
+    x = delta.vertex_mask
+    return _minimal_transversals(frozenset(bits(x ^ f)) for f in delta.facet_masks)
 
 
 def stanley_reisner_ideal(
@@ -172,11 +175,12 @@ def stanley_reisner_ideal(
     """
     if delta.is_void:
         raise ImproperIdealError("the void complex has the unit nonface ideal")
-    ambient_set = delta.vertices if ambient is None else frozenset(ambient)
-    if not delta.vertices <= ambient_set:
+    x = delta.vertex_mask
+    ambient_mask = x if ambient is None else mask_of(ambient)
+    if x & ~ambient_mask:
         raise ValueError("ambient must contain the vertex set of the complex")
     masks = [mask_of(n) for n in minimal_nonfaces(delta)]
-    masks += [1 << v for v in ambient_set - delta.vertices]
+    masks += [1 << v for v in bits(ambient_mask ^ x)]
     return MonomialIdeal.from_masks(delta.ctx, masks)
 
 
@@ -208,15 +212,12 @@ def alexander_dual_complex(delta: SimplicialComplex) -> SimplicialComplex:
     dual of the void complex on X is the full simplex on X and vice versa.
     Applied twice this is the identity.
     """
-    verts = delta.vertices
+    x = delta.vertex_mask
     if delta.is_void:
-        return SimplicialComplex.from_facets(delta.ctx, [verts], vertices=verts)
-    nonfaces = minimal_nonfaces(delta)
-    if not nonfaces:
-        return SimplicialComplex.void(delta.ctx, verts)
-    return SimplicialComplex.from_facets(
-        delta.ctx, [verts - n for n in nonfaces], vertices=verts
-    )
+        return SimplicialComplex(delta.ctx, x, (x,))
+    # the complements of an antichain form an antichain
+    facets = sorted([x ^ mask_of(n) for n in minimal_nonfaces(delta)])
+    return SimplicialComplex(delta.ctx, x, tuple(facets))
 
 
 def alexander_dual_ideal(ideal: MonomialIdeal) -> MonomialIdeal:
@@ -235,14 +236,16 @@ def alexander_dual_ideal(ideal: MonomialIdeal) -> MonomialIdeal:
 
 
 def link(delta: SimplicialComplex, face: Iterable[int]) -> SimplicialComplex:
-    """lk(F): faces disjoint from F whose union with F is a face."""
-    face = frozenset(face)
-    if not delta.has_face(face):
-        raise NotAFaceError(f"{sorted(face)} is not a face")
-    if not face:
+    """lk(F): faces disjoint from F whose union with F is a face.  Its facets
+    G - F over the facets G holding F stay an antichain in ascending order."""
+    s = mask_of(face)
+    holders = [f for f in delta.facet_masks if f & s == s]
+    if not holders:
+        raise NotAFaceError(f"{bits(s)} is not a face")
+    if not s:
         return delta
-    reduced = [f - face for f in delta.facets if face <= f]
-    return SimplicialComplex.from_facets(delta.ctx, reduced)
+    reduced = tuple([f ^ s for f in holders])
+    return SimplicialComplex(delta.ctx, reduce(or_, reduced, 0), reduced)
 
 
 def delete_face(delta: SimplicialComplex, face: Iterable[int]) -> SimplicialComplex:
@@ -251,26 +254,24 @@ def delete_face(delta: SimplicialComplex, face: Iterable[int]) -> SimplicialComp
     The declared vertex set is unchanged, except that deleting a single
     vertex removes it from the complex.
     """
-    face = frozenset(face)
-    if not face:
+    s = mask_of(face)
+    if not s:
         raise ValueError("delete_face needs a nonempty face")
-    if not delta.has_face(face):
+    holders = [f for f in delta.facet_masks if f & s == s]
+    if not holders:
         return delta
-    survivors: list[VertexSet] = []
-    for f in delta.facets:
-        if face <= f:
-            survivors.extend(f - {v} for v in face)
-        else:
-            survivors.append(f)
-    new_vertices = delta.vertices - face if len(face) == 1 else delta.vertices
-    return SimplicialComplex.from_facets(delta.ctx, survivors, vertices=new_vertices)
+    survivors = [f for f in delta.facet_masks if f & s != s]
+    survivors += [f ^ (1 << v) for f in holders for v in bits(s)]
+    vertices = delta.vertex_mask ^ s if s & (s - 1) == 0 else delta.vertex_mask
+    return SimplicialComplex(delta.ctx, vertices, antichain(survivors))
 
 
 def induced_subcomplex(delta: SimplicialComplex, vertices: Iterable[int]) -> SimplicialComplex:
     """Restriction to the faces contained in `vertices`."""
-    w = frozenset(vertices)
-    if not w <= delta.vertices:
+    w = mask_of(vertices)
+    if w & ~delta.vertex_mask:
         raise ValueError("restriction set must be a subset of the vertices")
     if delta.is_void:
         return delta
-    return SimplicialComplex.from_facets(delta.ctx, (f & w for f in delta.facets))
+    restricted = antichain(f & w for f in delta.facet_masks)
+    return SimplicialComplex(delta.ctx, reduce(or_, restricted, 0), restricted)

@@ -19,10 +19,10 @@ node: the split and the verdict would be the same, and both subtrees are
 memoized, so the first winner, the memo keys and the node count do not
 change.
 
-The complex search and check run on the facets as a sorted tuple of int
-masks, made once from the complex.  A face sigma sheds the complex when
-every face tau containing it can trade any v in sigma for some w outside
-tau and stay a face; it is enough to ask that, for every facet F holding
+The complex search and check read the facet masks of the complex, a
+sorted antichain of ints.  A face sigma sheds the complex when every face
+tau containing it can trade any v in sigma for some w outside tau and
+stay a face; it is enough to ask that, for every facet F holding
 sigma and every v in sigma, another facet G holds F - v.  A facet F is
 one such tau, and G must hold some w outside F, as G and F are distinct
 facets; conversely a tau below a facet F can take any w in F - tau.  So
@@ -45,7 +45,9 @@ complex, together with the bound k.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from itertools import combinations, product
+from operator import or_
 
 from .complexes import SimplicialComplex
 from .errors import (
@@ -56,7 +58,9 @@ from .errors import (
     NotAFaceError,
     ZeroIdealError,
 )
-from .monomials import Monomial, MonomialIdeal, VariableContext, bits, mask_of
+from .monomials import (
+    Monomial, MonomialIdeal, VariableContext, _exponent_tuples, bits, mask_of
+)
 
 DEFAULT_NODE_BUDGET = 500_000
 
@@ -310,13 +314,6 @@ def _search_ideal(ctx, gens, k, memo, budget) -> IdealCertificate | None:
     return result
 
 
-def _facet_masks(delta: SimplicialComplex) -> tuple[int, ...]:
-    """The facets of `delta` as a sorted tuple of int masks.  The exchange
-    test reads facets only, so a set inside another one is dropped."""
-    masks = sorted(set(map(mask_of, delta.facets)))
-    return tuple([f for f in masks if not any(f != g and f & g == f for g in masks)])
-
-
 def _exchange_masks(facets) -> dict[int, int]:
     """Each facet f mapped to the mask of the v in f such that f - v lies in
     another facet g: facets form an antichain, so f & ~g is empty only for
@@ -340,13 +337,14 @@ def _sheds(sigma: int, holders, ex) -> bool:
 def is_shedding_face(delta: SimplicialComplex, sigma) -> bool:
     """Exchange test: every face containing sigma can swap any vertex of
     sigma for some outside vertex and stay a face."""
-    sigma = frozenset(sigma)
-    if not sigma:
+    s = mask_of(sigma)
+    if not s:
         raise ValueError("a shedding face must be nonempty")
-    if not delta.has_face(sigma):
-        raise NotAFaceError(f"{sorted(sigma)} is not a face")
-    facets, s = _facet_masks(delta), mask_of(sigma)
-    return _sheds(s, [f for f in facets if f & s == s], _exchange_masks(facets))
+    facets = delta.facet_masks
+    holders = [f for f in facets if f & s == s]
+    if not holders:
+        raise NotAFaceError(f"{bits(s)} is not a face")
+    return _sheds(s, holders, _exchange_masks(facets))
 
 
 @dataclass(frozen=True)
@@ -371,7 +369,7 @@ def verify_complex_certificate(
 ) -> None:
     """Re-check a complex certificate against `delta`; raises on failure."""
     _check_k(k)
-    _verify_complex_node(cert, _facet_masks(delta), k, delta.ctx.n)
+    _verify_complex_node(cert, delta.facet_masks, k, delta.ctx.n)
 
 
 def _vertex_mask(face, n: int) -> int:
@@ -430,9 +428,9 @@ def k_decomposable_complex(
     if memo is None:
         memo = {}
     if mode == "direct":
-        return _search_complex(_facet_masks(delta), k, memo, _Budget(node_budget))
+        return _search_complex(delta.facet_masks, k, memo, _Budget(node_budget))
     if delta.is_simplex:
-        return _complex_leaf(_facet_masks(delta))
+        return _complex_leaf(delta.facet_masks)
     dual_ideal = facet_complement_ideal(delta)
     cert = k_decomposable_ideal(dual_ideal, k, memo=memo, node_budget=node_budget)
     if cert is None:
@@ -442,12 +440,13 @@ def k_decomposable_complex(
 
 def facet_complement_ideal(delta: SimplicialComplex) -> MonomialIdeal:
     """The ideal generated by x^(X - F) over facets F; this is the nonface
-    ideal of the Alexander dual."""
+    ideal of the Alexander dual.  The complements of the facets form an
+    antichain, so they are the minimal generators as they stand."""
     if delta.is_void:
         raise ZeroIdealError("the void complex has no facet-complement ideal")
-    return MonomialIdeal.from_masks(
-        delta.ctx, (mask_of(delta.vertices - f) for f in delta.facets)
-    )
+    x, n = delta.vertex_mask, delta.ctx.n
+    exps = _exponent_tuples([x ^ f for f in delta.facet_masks], n)
+    return MonomialIdeal(delta.ctx, tuple(sorted(exps, reverse=True)))
 
 
 def transport_certificate(cert: IdealCertificate, vertices) -> ComplexCertificate:
@@ -489,10 +488,7 @@ def _search_complex(facets, k, memo, budget) -> ComplexCertificate | None:
     if key in memo:
         return memo[key]
     budget.spend()
-    union = 0
-    for f in facets:
-        union |= f
-    vertices = bits(union)
+    vertices = bits(reduce(or_, facets))
     cap = len(vertices) if k < 0 else k + 1
     ex = _exchange_masks(facets)
     result = None

@@ -131,7 +131,7 @@ def parse_object(obj) -> ParsedDocument:
             value = SimplicialComplex.void(ctx, declared or ())
         else:
             value = SimplicialComplex.from_facets(ctx, facets, vertices=declared)
-            if len(value.facets) != len(set(facets)) or len(set(facets)) != len(facets):
+            if len(value.facet_masks) != len(set(facets)) or len(set(facets)) != len(facets):
                 warnings.append("duplicate or non-maximal facets were reduced")
         return ParsedDocument("complex", value, warnings)
 

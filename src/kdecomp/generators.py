@@ -12,7 +12,7 @@ from typing import Iterator
 
 from .clutters import Clutter
 from .complexes import SimplicialComplex
-from .monomials import Monomial, MonomialIdeal, VariableContext
+from .monomials import Monomial, MonomialIdeal, VariableContext, bits
 
 
 def random_monomial(rng: Random, ctx: VariableContext, max_exp: int) -> Monomial:
@@ -56,9 +56,8 @@ def random_complex(
 
 def random_face(rng: Random, delta: SimplicialComplex) -> frozenset[int]:
     """A random nonempty face."""
-    facets = sorted(delta.facets, key=sorted)
-    nonempty = [f for f in facets if f]
-    facet = sorted(nonempty[rng.randrange(len(nonempty))])
+    nonempty = [f for f in sorted(map(bits, delta.facet_masks)) if f]
+    facet = nonempty[rng.randrange(len(nonempty))]
     size = rng.randint(1, len(facet))
     return frozenset(rng.sample(facet, size))
 

@@ -32,7 +32,7 @@ from threading import Lock
 from .betti import BettiTable
 from .complexes import SimplicialComplex, stanley_reisner_ideal
 from .errors import BudgetExceededError, ZeroIdealError
-from .monomials import MonomialIdeal, bits, mask_of
+from .monomials import MonomialIdeal, bits, submasks
 
 VERTEX_BUDGET = 20
 LCM_DEGREE_BUDGET = 24
@@ -137,15 +137,12 @@ def homology_dims_from_masks(face_masks, field=None) -> list[int]:
 def reduced_homology_dims(delta: SimplicialComplex, field=None) -> list[int]:
     """Reduced simplicial homology dimensions of `delta`, degree -1 first."""
     check_field(field)
-    if len(delta.vertices) > VERTEX_BUDGET:
-        raise BudgetExceededError(
-            f"homology budget is {VERTEX_BUDGET} vertices, got {len(delta.vertices)}"
-        )
+    size = delta.vertex_mask.bit_count()
+    if size > VERTEX_BUDGET:
+        raise BudgetExceededError(f"homology budget is {VERTEX_BUDGET} vertices, got {size}")
     if delta.is_void:
         return []
-    masks = set()
-    for facet in delta.facets:
-        masks.update(_submasks(mask_of(facet)))
+    masks = {s for f in delta.facet_masks for s in submasks(f)}
     return homology_dims_from_masks(masks, field)
 
 
@@ -162,13 +159,6 @@ def _lcm_closure(gens, join) -> set:
         closure |= {join(a, g) for a in closure}
         closure.add(g)
     return closure
-
-
-def _submasks(mask: int) -> list[int]:
-    subs = [mask]
-    while subs[-1]:
-        subs.append((subs[-1] - 1) & mask)
-    return subs
 
 
 def _oracle_table(ideal: MonomialIdeal, field, route: str) -> BettiTable:
@@ -225,7 +215,7 @@ def _oracle_table(ideal: MonomialIdeal, field, route: str) -> BettiTable:
         if hochster:
             supp, j = a, bin(a).count("1")
             walls = [g for g in supports if g & supp == g]
-            faces = [s for s in _submasks(supp) if all(w & s != w for w in walls)]
+            faces = [s for s in submasks(supp) if all(w & s != w for w in walls)]
         else:
             supp, j = sum(1 << v for v, e in enumerate(a) if e), sum(a)
             # tight(g, a) = {i : g_i = a_i > 0} for each generator g <= a
@@ -234,7 +224,7 @@ def _oracle_table(ideal: MonomialIdeal, field, route: str) -> BettiTable:
                 for g in gens
                 if all(x <= y for x, y in zip(g, a))
             ]
-            faces = [s for s in _submasks(supp) if any(not w & s for w in walls)]
+            faces = [s for s in submasks(supp) if any(not w & s for w in walls)]
         for c, h in enumerate(homology_dims_from_masks(faces, field)):
             i = j - c - 1 if hochster else c
             if h and i >= 0:

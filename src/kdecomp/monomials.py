@@ -3,8 +3,9 @@
 All values are immutable and hashable; every operation is pure.  Vertex
 sets are frozensets of variable indices into a shared
 :class:`VariableContext` at the API, and int masks (bit v for vertex v)
-below it, in clutters and homology; :func:`mask_of` and :func:`bits`
-convert, and :meth:`MonomialIdeal.from_masks` builds squarefree ideals.
+below it, in complexes, clutters, the searches and homology;
+:func:`mask_of` and :func:`bits` convert, and
+:meth:`MonomialIdeal.from_masks` builds squarefree ideals.
 
 A :class:`MonomialIdeal` keeps its minimal generators as exponent tuples,
 minimalized by :func:`minimal_exponents`; ``gens`` views them as monomials.
@@ -132,6 +133,19 @@ def bits(mask: int) -> list[int]:
     return [v for v in range(mask.bit_length()) if mask >> v & 1]
 
 
+def submasks(mask: int) -> list[int]:
+    """Every mask inside `mask`, itself first and 0 last."""
+    subs = [mask]
+    while subs[-1]:
+        subs.append((subs[-1] - 1) & mask)
+    return subs
+
+
+def _exponent_tuples(masks: Iterable[int], n: int) -> list[tuple[int, ...]]:
+    # tuple([...]), not tuple(genexpr): the latter measurably raised peak memory
+    return [tuple([m >> v & 1 for v in range(n)]) for m in masks]
+
+
 def minimal_exponents(exps: Iterable[tuple[int, ...]]) -> tuple[tuple[int, ...], ...]:
     """Drop every exponent tuple that another one divides; canonical order.
 
@@ -187,9 +201,7 @@ class MonomialIdeal:
         masks, n = list(masks), ctx.n
         if any(m >> n for m in masks):
             raise ValueError("vertex index outside the context")
-        # tuple([...]), not tuple(genexpr): the latter measurably raised peak memory
-        exps = [tuple([m >> v & 1 for v in range(n)]) for m in masks]
-        return cls(ctx, minimal_exponents(exps))
+        return cls(ctx, minimal_exponents(_exponent_tuples(masks, n)))
 
     @cached_property
     def gens(self) -> tuple[Monomial, ...]:

@@ -195,7 +195,7 @@ def reg_pd_complex(
     variable-generated nonface ideal, so reg 0 and pd s.
     """
     verify_complex_certificate(delta, cert)
-    return _reg_pd_rec(frozenset(delta.vertices), cert)
+    return _reg_pd_rec(delta.vertices, cert)
 
 
 def _reg_pd_rec(ambient: frozenset[int], cert) -> tuple[int, int]:

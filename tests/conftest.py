@@ -22,6 +22,11 @@ def mono(ctx, text: str):
     return monomial_from_string(text, ctx)
 
 
+def dim(delta) -> int:
+    """Dimension of a non-void complex: its largest facet size minus one."""
+    return max(f.bit_count() for f in delta.facet_masks) - 1
+
+
 def ideal(ctx, *texts: str):
     from kdecomp import MonomialIdeal
 

@@ -7,15 +7,18 @@ import pytest
 
 from kdecomp import (
     Clutter,
+    ComplexLeaf,
     ImproperIdealError,
     NotAFaceError,
     SimplicialComplex,
+    VariableContext,
     VoidComplexError,
     alexander_dual_complex,
     alexander_dual_ideal,
     complex_from_nonfaces,
     delete_face,
     independence_complex,
+    k_decomposable_complex,
     link,
     minimal_nonfaces,
     stanley_reisner_ideal,
@@ -27,7 +30,7 @@ from kdecomp.generators import (
     random_squarefree_ideal,
 )
 
-from conftest import ideal
+from conftest import dim, ideal
 
 
 def powerset(items):
@@ -268,6 +271,15 @@ def test_degenerate_flags(ctx3):
     irr = SimplicialComplex.irrelevant(ctx3)
     assert void.is_void and not void.is_irrelevant
     assert irr.is_irrelevant and not irr.is_void
-    assert irr.dim == -1
-    with pytest.raises(VoidComplexError):
-        void.dim
+    assert dim(irr) == -1
+
+
+def test_from_facets_keeps_only_maximal_faces():
+    ctx = VariableContext.of("a", "b", "c")
+    delta = SimplicialComplex.from_facets(ctx, [{0, 1}, {0}])
+    assert delta.facet_masks == (0b11,) and delta.facets == {frozenset({0, 1})}
+    assert delta.is_simplex and dim(delta) == 1
+    assert str(delta) == "<{a,b}>"
+    leaf = ComplexLeaf(frozenset({0, 1}))
+    for mode in ("direct", "dual"):
+        assert k_decomposable_complex(delta, 0, mode=mode) == leaf

@@ -43,6 +43,21 @@ def test_parse_clutter_document():
     assert parsed.value.edges == frozenset({frozenset({0, 1}), frozenset({1, 2})})
 
 
+def test_parse_warns_only_when_facets_are_reduced():
+    def warnings(facets, **extra):
+        obj = {"kind": "complex", "vars": ["a", "b", "c"], "facets": facets, **extra}
+        return parse_object(obj).warnings
+
+    reduced = ["duplicate or non-maximal facets were reduced"]
+    assert warnings([["a", "b"], ["a"]]) == reduced
+    assert warnings([["a", "b"], ["b", "a"]]) == reduced
+    assert warnings([["a"], ["a", "b"]], vertices=["c"]) == reduced
+    assert warnings([["a", "b"], ["b", "c"]]) == []
+    assert warnings([["a"]], vertices=["a", "b", "c"]) == []
+    assert warnings([[]]) == []
+    assert warnings([]) == []
+
+
 def test_parse_unit_generator_rejected():
     with pytest.raises(ImproperIdealError):
         parse_object({"kind": "ideal", "vars": ["x"], "gens": ["1"]})

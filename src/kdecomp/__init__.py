@@ -21,7 +21,6 @@ from .clutters import (
     edge_ideal,
     graph_is_chordal_bruteforce,
     is_chordal,
-    is_containment_pair,
     is_simplicial_vertex,
     lemma_h_ideals,
 )
@@ -81,7 +80,6 @@ from .resolution import (
     betti_recursive,
     bight,
     colon_is_variable_generated,
-    invariants_from_betti,
     linear_quotients_order,
     order_from_certificate,
     pd_reg_from_certificate,

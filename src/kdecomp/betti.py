@@ -13,16 +13,11 @@ def binom(n: int, k: int) -> int:
 
 
 class BettiTable:
-    """Finite mapping (i, j) -> positive count of graded Betti numbers.
+    """Finite mapping (i, j) -> positive count of graded Betti numbers."""
 
-    `minimal` records that the table came from a minimal resolution
-    source; projective dimension and regularity may only be read off
-    tables carrying that tag.
-    """
+    __slots__ = ("_entries",)
 
-    __slots__ = ("_entries", "minimal")
-
-    def __init__(self, entries, minimal: bool = False):
+    def __init__(self, entries):
         cleaned: dict[tuple[int, int], int] = {}
         for (i, j), count in dict(entries).items():
             if count < 0:
@@ -30,7 +25,6 @@ class BettiTable:
             if count:
                 cleaned[(int(i), int(j))] = int(count)
         self._entries = cleaned
-        self.minimal = minimal
 
     def __getitem__(self, key: tuple[int, int]) -> int:
         return self._entries.get(key, 0)
@@ -105,5 +99,4 @@ class BettiTable:
         return "\n".join(lines)
 
     def __repr__(self) -> str:
-        tag = "minimal" if self.minimal else "unverified"
-        return f"BettiTable({dict(self.items())!r}, {tag})"
+        return f"BettiTable({dict(self.items())!r})"

@@ -1,13 +1,16 @@
 """Clutters: minors, simplicial vertices, chordality and regularity bounds.
 
-A clutter is an antichain of edges over an explicit vertex set, both
-kept as int masks; ``vertices`` and ``edges`` view them as frozensets.
-:meth:`Clutter.from_edges` is the checked constructor: its vertices lie
-in the context and its edges have at least two vertices.  Minors are
-antichains by construction and are not checked again.  Contraction may
-leave singleton edges (their edge ideals then pick up degree-one
-generators), and deleting a vertex keeps the remaining vertices even
-when they become isolated.
+A clutter is an antichain of nonempty edges over an explicit vertex set,
+kept as an int mask and an ascending tuple of edge masks; ``vertices``
+and ``edges`` view them as frozensets.  Direct construction checks
+nothing; :meth:`Clutter.from_edges` is the checked constructor: its
+vertices lie in the context and its edges have at least two vertices.
+Minors are antichains by construction and are not checked again, and
+deletion, contraction and the simplicial-vertex test each have one
+implementation on masks, which the chordality search calls directly.
+Contraction may leave singleton edges (their edge ideals then pick up
+degree-one generators), and deleting a vertex keeps the remaining
+vertices even when they become isolated.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ CHORDALITY_VERTEX_BUDGET = 10
 class Clutter:
     ctx: VariableContext
     vertex_mask: int
-    edge_masks: frozenset[int]
+    edge_masks: tuple[int, ...]
 
     @classmethod
     def from_edges(
@@ -59,7 +62,7 @@ class Clutter:
         if any(not 0 <= v < ctx.n for v in declared.union(*edge_sets)):
             raise ValueError("vertex index outside the context")
         minimal = antichain(map(mask_of, edge_sets), minimal=True)
-        return cls(ctx, reduce(or_, minimal, mask_of(declared)), frozenset(minimal))
+        return cls(ctx, reduce(or_, minimal, mask_of(declared)), minimal)
 
     @cached_property
     def vertices(self) -> frozenset[int]:
@@ -72,9 +75,6 @@ class Clutter:
     @property
     def is_edgeless(self) -> bool:
         return not self.edge_masks
-
-    def canonical_key(self) -> tuple:
-        return (self.vertex_mask, tuple(sorted(self.edge_masks)))
 
     def __str__(self) -> str:
         names = self.ctx.set_names
@@ -90,8 +90,26 @@ def _inside(edges: Iterable[int], mask: int) -> bool:
     return any(e & mask == e for e in edges)
 
 
+def _delete(vertex_mask: int, edges: tuple[int, ...], bit: int) -> tuple[int, tuple]:
+    return vertex_mask ^ bit, tuple([e for e in edges if not e & bit])
+
+
+def _contract(vertex_mask: int, edges: tuple[int, ...], bit: int) -> tuple[int, tuple]:
+    """The cut edges e - {v} of the edges through v are pairwise
+    incomparable, and none contains an edge avoiding v, so only the edges
+    avoiding v that contain a cut edge are dropped."""
+    cut = [e ^ bit for e in edges if e & bit]
+    uncut = [e for e in edges if not e & bit and not _inside(cut, e)]
+    return vertex_mask ^ bit, tuple(sorted(cut + uncut))
+
+
+def _is_simplicial(edges: tuple[int, ...], bit: int) -> bool:
+    incident = [e for e in edges if e & bit]
+    return all(_inside(edges, (e1 | e2) ^ bit) for e1, e2 in combinations(incident, 2))
+
+
 def _vertex_bit(clutter: Clutter, v: int) -> int:
-    if v not in clutter.vertices:
+    if v < 0 or not clutter.vertex_mask >> v & 1:
         raise KeyError(f"unknown vertex {v}")
     return 1 << v
 
@@ -99,28 +117,17 @@ def _vertex_bit(clutter: Clutter, v: int) -> int:
 def deletion(clutter: Clutter, v: int) -> Clutter:
     """Remove the vertex and every edge through it."""
     bit = _vertex_bit(clutter, v)
-    return Clutter(
-        clutter.ctx,
-        clutter.vertex_mask ^ bit,
-        frozenset(e for e in clutter.edge_masks if not e & bit),
-    )
+    return Clutter(clutter.ctx, *_delete(clutter.vertex_mask, clutter.edge_masks, bit))
 
 
 def contraction(clutter: Clutter, v: int) -> Clutter:
-    """Remove the vertex from every edge and keep the minimal results.
-
-    The cut edges e - {v} of the edges through v are pairwise
-    incomparable, and none contains an edge avoiding v, so only the
-    edges avoiding v that contain a cut edge are dropped.
-    """
+    """Remove the vertex from every edge and keep the minimal results."""
     bit = _vertex_bit(clutter, v)
     if bit in clutter.edge_masks:
         raise ImproperContractionError(
             f"contracting {clutter.ctx.names[v]!r} would create an empty edge"
         )
-    cut = [e ^ bit for e in clutter.edge_masks if e & bit]
-    uncut = [e for e in clutter.edge_masks if not e & bit and not _inside(cut, e)]
-    return Clutter(clutter.ctx, clutter.vertex_mask ^ bit, frozenset(cut + uncut))
+    return Clutter(clutter.ctx, *_contract(clutter.vertex_mask, clutter.edge_masks, bit))
 
 
 def contraction_set(clutter: Clutter, vertices: Iterable[int]) -> Clutter:
@@ -131,15 +138,15 @@ def contraction_set(clutter: Clutter, vertices: Iterable[int]) -> Clutter:
     todo = frozenset(vertices)
     if _inside(clutter.edge_masks, mask_of(todo & clutter.vertices)):
         raise ImproperContractionError("an edge lies inside the contraction set")
-    return apply_trace(clutter, (MinorStep("contract", v) for v in sorted(todo)))
+    minor = clutter.vertex_mask, clutter.edge_masks
+    for v in sorted(todo):
+        minor = _contract(*minor, _vertex_bit(clutter, v))
+    return Clutter(clutter.ctx, *minor)
 
 
 def is_simplicial_vertex(clutter: Clutter, v: int) -> bool:
     """Every pair of edges through v is completed by an edge avoiding v."""
-    bit = _vertex_bit(clutter, v)
-    edges = clutter.edge_masks
-    incident = [e for e in edges if e & bit]
-    return all(_inside(edges, (e1 | e2) ^ bit) for e1, e2 in combinations(incident, 2))
+    return _is_simplicial(clutter.edge_masks, _vertex_bit(clutter, v))
 
 
 def _edge_through(clutter: Clutter, x: int, e: Iterable[int]) -> int:
@@ -148,15 +155,6 @@ def _edge_through(clutter: Clutter, x: int, e: Iterable[int]) -> int:
     if e not in clutter.edges or x not in e:
         raise ValueError("need a vertex contained in an edge of the clutter")
     return mask_of(e)
-
-
-def is_containment_pair(clutter: Clutter, v: int, e: frozenset[int]) -> bool:
-    """For every other edge through v there is an edge inside the union
-    minus v."""
-    em = _edge_through(clutter, v, e)
-    bit = 1 << v
-    edges = clutter.edge_masks
-    return all(_inside(edges, (em | e2) ^ bit) for e2 in edges if e2 != em and e2 & bit)
 
 
 @dataclass(frozen=True)
@@ -189,42 +187,43 @@ def is_chordal(
 
     Returns (True, None) or (False, trace) where replaying the trace from
     the input reaches a minor with no simplicial vertex.  Verdicts are
-    memoized on the canonical clutter form; a shared `memo` dictionary
-    makes repeated queries over overlapping minors cheap.
+    memoized on the pair (vertex mask, sorted edge-mask tuple); a shared
+    `memo` dictionary makes repeated queries over overlapping minors cheap.
     """
-    if len(clutter.vertices) > vertex_budget:
-        raise BudgetExceededError(
-            f"chordality budget is {vertex_budget} vertices, "
-            f"got {len(clutter.vertices)}"
-        )
+    n = clutter.vertex_mask.bit_count()
+    if n > vertex_budget:
+        raise BudgetExceededError(f"chordality budget is {vertex_budget} vertices, got {n}")
     if memo is None:
         memo = {}
-    return _chordal_rec(clutter, (), memo)
+    witness = _chordal_rec(clutter.vertex_mask, clutter.edge_masks, memo)
+    return witness is None, witness
 
 
-def _chordal_rec(clutter: Clutter, trace: MinorTrace, memo: dict):
-    key = clutter.canonical_key()
+def _chordal_rec(vertex_mask: int, edges: tuple[int, ...], memo: dict) -> MinorTrace | None:
+    """None if every minor has a simplicial vertex, else the trace to the first
+    minor without one (vertices ascending, delete before contract)."""
+    key = (vertex_mask, edges)
     if memo.get(key) is True:
-        return True, None
+        return None
     # Edgeless minors are fine and all their minors are edgeless too.
-    if clutter.is_edgeless:
+    if not edges:
         memo[key] = True
-        return True, None
-    verts = bits(clutter.vertex_mask)
-    if not any(is_simplicial_vertex(clutter, v) for v in verts):
+        return None
+    verts = bits(vertex_mask)
+    if not any(_is_simplicial(edges, 1 << v) for v in verts):
         memo[key] = False
-        return False, trace
+        return ()
     for v in verts:
-        for kind in ("delete", "contract"):
-            if kind == "contract" and (1 << v) in clutter.edge_masks:
+        bit = 1 << v
+        for kind, op in (("delete", _delete), ("contract", _contract)):
+            if op is _contract and bit in edges:
                 continue  # it would leave an empty edge
-            step = MinorStep(kind, v)
-            ok, witness = _chordal_rec(apply_trace(clutter, (step,)), trace + (step,), memo)
-            if not ok:
+            witness = _chordal_rec(*op(vertex_mask, edges, bit), memo)
+            if witness is not None:
                 memo[key] = False
-                return False, witness
+                return (MinorStep(kind, v), *witness)
     memo[key] = True
-    return True, None
+    return None
 
 
 def edge_ideal(clutter: Clutter) -> MonomialIdeal:

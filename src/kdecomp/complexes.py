@@ -144,14 +144,20 @@ class SimplicialComplex:
         return frozenset(frozenset(bits(m)) for m in masks)
 
     def __str__(self) -> str:
-        if self.is_void:
-            return "{}"
-        if self.is_irrelevant:
-            return "{<>}"
+        """Facets in lex order, then " on" and the vertex set when that is
+        larger than the union of the facets."""
         names = self.ctx.set_names
-        return "<" + ", ".join(
-            "{" + ",".join(names(f)) + "}" for f in sorted(map(bits, self.facet_masks))
-        ) + ">"
+        if self.is_void:
+            text = "{}"
+        elif self.is_irrelevant:
+            text = "{<>}"
+        else:
+            text = "<" + ", ".join(
+                "{" + ",".join(names(f)) + "}" for f in sorted(map(bits, self.facet_masks))
+            ) + ">"
+        if reduce(or_, self.facet_masks, 0) != self.vertex_mask:
+            text += " on {" + ",".join(names(self.vertices)) + "}"
+        return text
 
 
 def minimal_nonfaces(delta: SimplicialComplex) -> frozenset[VertexSet]:

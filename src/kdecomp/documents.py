@@ -120,35 +120,24 @@ def parse_object(obj) -> ParsedDocument:
             warnings.append("duplicate or non-minimal generators were minimalized")
         return ParsedDocument("ideal", ideal, warnings)
 
+    # complexes and clutters: a list of vertex sets, optionally more vertices
     if kind == "complex":
-        raw = obj.get("facets")
-        if not isinstance(raw, list):
-            raise DocumentError('"facets" must be a list')
-        facets = [vertex_list(f, ctx, "facet") for f in raw]
-        extra = obj.get("vertices")
-        declared = vertex_list(extra, ctx, "vertices") if extra is not None else None
-        if not facets:
-            value = SimplicialComplex.void(ctx, declared or ())
-        else:
-            value = SimplicialComplex.from_facets(ctx, facets, vertices=declared)
-            if len(value.facet_masks) != len(set(facets)) or len(set(facets)) != len(facets):
-                warnings.append("duplicate or non-maximal facets were reduced")
-        return ParsedDocument("complex", value, warnings)
-
-    raw = obj.get("edges")
+        key, build, reduced = "facets", SimplicialComplex.from_facets, "non-maximal facets"
+    else:
+        key, build, reduced = "edges", Clutter.from_edges, "non-minimal edges"
+    raw = obj.get(key)
     if not isinstance(raw, list):
-        raise DocumentError('"edges" must be a list')
-    edges = [vertex_list(e, ctx, "edge") for e in raw]
+        raise DocumentError(f'"{key}" must be a list')
+    sets = [vertex_list(s, ctx, key[:-1]) for s in raw]
     extra = obj.get("vertices")
     declared = vertex_list(extra, ctx, "vertices") if extra is not None else None
     try:
-        value = Clutter.from_edges(ctx, edges, vertices=declared)
+        value = build(ctx, sets, vertices=declared)
     except ValueError as exc:
         raise DocumentError(str(exc)) from None
-    if len(value.edges) != len(set(edges)) or len(set(edges)) != len(edges):
-        warnings.append("duplicate or non-minimal edges were reduced")
-    return ParsedDocument("clutter", value, warnings)
-
+    if len(getattr(value, key)) != len(set(sets)) or len(set(sets)) != len(sets):
+        warnings.append(f"duplicate or {reduced} were reduced")
+    return ParsedDocument(kind, value, warnings)
 
 def emit_object(value) -> dict:
     """Document form of a core value; parse(emit(v)) is semantically v."""

@@ -230,7 +230,7 @@ def _oracle_table(ideal: MonomialIdeal, field, route: str) -> BettiTable:
             if h and i >= 0:
                 entries[(i, j)] = entries.get((i, j), 0) + h
 
-    table = BettiTable(entries, minimal=True)
+    table = BettiTable(entries)
     with _oracle_cache_lock:
         if len(_oracle_cache) >= ORACLE_CACHE_SIZE:
             del _oracle_cache[next(iter(_oracle_cache))]

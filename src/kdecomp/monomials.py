@@ -51,11 +51,6 @@ class VariableContext:
     def one(self) -> "Monomial":
         return Monomial(self, (0,) * self.n)
 
-    def variable(self, i: int) -> "Monomial":
-        exps = [0] * self.n
-        exps[i] = 1
-        return Monomial(self, tuple(exps))
-
     def monomial(self, exponents: Iterable[int]) -> "Monomial":
         return Monomial(self, tuple(exponents))
 
@@ -215,10 +210,6 @@ class MonomialIdeal:
     @property
     def is_squarefree(self) -> bool:
         return all(max(e) <= 1 for e in self.exps)
-
-    def contains(self, m: Monomial) -> bool:
-        """Membership test for monomials: some generator divides m."""
-        return any(g.divides(m) for g in self.gens)
 
     def __str__(self) -> str:
         if self.is_zero:

@@ -134,14 +134,14 @@ def betti_from_order(ideal: MonomialIdeal, order: QuotientOrder) -> BettiTable:
         for i in range(len(s) + 1):
             key = (i, d + i)
             entries[key] = entries.get(key, 0) + binom(len(s), i)
-    return BettiTable(entries, minimal=True)
+    return BettiTable(entries)
 
 
 def betti_recursive(cert: IdealCertificate) -> BettiTable:
     """Betti table by the shedding recursion
     beta(I) = beta(I^u) + sum_l C(m, l) * beta(I_u) shifted by (l, l)."""
     verify_ideal_certificate(cert)
-    return BettiTable(_betti_rec(cert), minimal=True)
+    return BettiTable(_betti_rec(cert))
 
 
 def _betti_rec(cert: IdealCertificate) -> dict[tuple[int, int], int]:
@@ -172,15 +172,6 @@ def _pd_reg_rec(cert: IdealCertificate) -> tuple[int, int]:
     pd_l, reg_l = _pd_reg_rec(cert.link)
     m = len(cert.u.support)
     return max(pd_u, pd_l + m), max(reg_u, reg_l)
-
-
-def invariants_from_betti(table: BettiTable) -> tuple[int, int]:
-    """(pd, reg) read off a table from a minimal resolution source."""
-    if not table:
-        raise ValueError("empty Betti table")
-    if not table.minimal:
-        raise ValueError("table lacks the minimal-source tag")
-    return table.pd, table.reg
 
 
 def reg_pd_complex(

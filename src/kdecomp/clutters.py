@@ -22,7 +22,6 @@ from operator import or_
 from typing import Iterable
 
 from .complexes import (
-    antichain,
     complex_from_nonfaces,
     delete_face,
     link,
@@ -34,7 +33,7 @@ from .errors import (
     PropertyViolationError,
 )
 from .homology import oracle_quotient_reg_pd
-from .monomials import MonomialIdeal, VariableContext, bits, mask_of
+from .monomials import MonomialIdeal, VariableContext, antichain, bits, mask_of
 
 CHORDALITY_VERTEX_BUDGET = 10
 
@@ -308,7 +307,7 @@ def chordal_reg_bound(
     """
     e = frozenset(e)
     if not is_simplicial_vertex(clutter, x):
-        raise ValueError(f"{x} is not a simplicial vertex")
+        raise ValueError(f"{clutter.ctx.names[x]} is not a simplicial vertex")
     sigma_mask = _edge_through(clutter, x, e) ^ (1 << x)
     if not sigma_mask:
         raise ValueError("the edge must have another vertex besides x")

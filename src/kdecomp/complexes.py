@@ -6,9 +6,9 @@ which is what makes dualizing an involution).  Both are kept as int
 masks, the facets as a sorted tuple; ``vertices`` and ``facets`` view
 them as frozensets.  :meth:`SimplicialComplex.from_facets` is the checked
 constructor: its vertices lie in the context and it keeps the maximal
-faces, through :func:`antichain`, which clutters share.  Links,
-deletions, restrictions and duals are built from masks and are not
-checked again.
+faces, through the antichain kernel of :mod:`kdecomp.monomials`, which
+clutters and squarefree ideals share.  Links, deletions, restrictions
+and duals are built from masks and are not checked again.
 
 The two degenerate complexes are encoded by their facet sets:
 ``{}`` (void, no faces at all) has no facets, and ``{{}}`` (the complex
@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from itertools import filterfalse
+from itertools import compress, count, filterfalse
 from operator import or_
 from typing import Iterable
 
@@ -35,21 +35,9 @@ from .errors import (
     NotAFaceError,
     VoidComplexError,
 )
-from .monomials import MonomialIdeal, VariableContext, bits, mask_of, submasks
+from .monomials import MonomialIdeal, VariableContext, antichain, bits, mask_of, submasks
 
 VertexSet = frozenset[int]
-
-
-def antichain(masks: Iterable[int], minimal: bool = False) -> tuple[int, ...]:
-    """The inclusion-maximal int masks of `masks`, or the inclusion-minimal
-    ones when `minimal` is set, sorted ascending; duplicates count once.
-    Masks are taken largest (smallest) first, so only kept ones compare."""
-    kept: list[int] = []
-    for m in sorted(set(masks), key=int.bit_count, reverse=not minimal):
-        if not any((k & m == k) if minimal else (k & m == m) for k in kept):
-            kept.append(m)
-    kept.sort()
-    return tuple(kept)
 
 
 def _minimal_transversals(sets: Iterable[frozenset]) -> frozenset[frozenset]:
@@ -237,7 +225,7 @@ def alexander_dual_ideal(ideal: MonomialIdeal) -> MonomialIdeal:
         raise ValueError("Alexander duality needs a squarefree ideal")
     if ideal.is_zero:
         raise ImproperIdealError("the dual of the zero ideal is the unit ideal")
-    covers = _minimal_transversals(g.support for g in ideal.gens)
+    covers = _minimal_transversals(frozenset(compress(count(), e)) for e in ideal.exps)
     return MonomialIdeal.from_masks(ideal.ctx, map(mask_of, covers))
 
 

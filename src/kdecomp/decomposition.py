@@ -445,6 +445,8 @@ def facet_complement_ideal(delta: SimplicialComplex) -> MonomialIdeal:
     if delta.is_void:
         raise ZeroIdealError("the void complex has no facet-complement ideal")
     x, n = delta.vertex_mask, delta.ctx.n
+    if x in delta.facet_masks:
+        raise ImproperIdealError("a facet holding every vertex gives the unit ideal")
     exps = _exponent_tuples([x ^ f for f in delta.facet_masks], n)
     return MonomialIdeal(delta.ctx, tuple(sorted(exps, reverse=True)))
 

@@ -19,7 +19,7 @@ from .decomposition import (
     IdealCertificate,
     IdealLeaf,
 )
-from .errors import DocumentError, ImproperIdealError
+from .errors import DocumentError
 from .monomials import Monomial, MonomialIdeal, VariableContext
 
 
@@ -113,8 +113,6 @@ def parse_object(obj) -> ParsedDocument:
                 gens.append(ctx.monomial(item))
             else:
                 raise DocumentError(f"bad generator {item!r}")
-        if any(g.is_one for g in gens):
-            raise ImproperIdealError("generators contain 1 (unit ideal)")
         ideal = MonomialIdeal.from_monomials(ctx, gens)
         if len(ideal.exps) != len(gens):
             warnings.append("duplicate or non-minimal generators were minimalized")

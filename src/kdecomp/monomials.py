@@ -7,8 +7,11 @@ below it, in complexes, clutters, the searches and homology;
 :func:`mask_of` and :func:`bits` convert, and
 :meth:`MonomialIdeal.from_masks` builds squarefree ideals.
 
-A :class:`MonomialIdeal` keeps its minimal generators as exponent tuples,
-minimalized by :func:`minimal_exponents`; ``gens`` views them as monomials.
+A :class:`MonomialIdeal` keeps its minimal generators as exponent tuples;
+``gens`` views them as monomials.  Its two checked constructors each
+minimalize with one kernel: ``from_monomials`` with
+:func:`minimal_exponents`, ``from_masks`` with :func:`antichain`, which
+complexes and clutters share.  Direct construction checks nothing.
 """
 
 from __future__ import annotations
@@ -136,6 +139,18 @@ def submasks(mask: int) -> list[int]:
     return subs
 
 
+def antichain(masks: Iterable[int], minimal: bool = False) -> tuple[int, ...]:
+    """The inclusion-maximal int masks of `masks`, or the inclusion-minimal
+    ones when `minimal` is set, sorted ascending; duplicates count once.
+    Masks are taken largest (smallest) first, so only kept ones compare."""
+    kept: list[int] = []
+    for m in sorted(set(masks), key=int.bit_count, reverse=not minimal):
+        if not any((k & m == k) if minimal else (k & m == m) for k in kept):
+            kept.append(m)
+    kept.sort()
+    return tuple(kept)
+
+
 def _exponent_tuples(masks: Iterable[int], n: int) -> list[tuple[int, ...]]:
     # tuple([...]), not tuple(genexpr): the latter measurably raised peak memory
     return [tuple([m >> v & 1 for v in range(n)]) for m in masks]
@@ -163,19 +178,12 @@ class MonomialIdeal:
     `exps` holds the minimal generators as exponent tuples, pairwise
     incomparable under divisibility and in the canonical order of
     :func:`minimal_exponents`.  The empty tuple is the zero ideal; the
-    unit ideal is not representable.
+    unit ideal is not representable.  Direct construction does not check
+    any of that; `from_monomials` and `from_masks` do.
     """
 
     ctx: VariableContext
     exps: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        n = self.ctx.n
-        for e in self.exps:
-            if len(e) != n or min(e, default=0) < 0:
-                raise ValueError(f"{e} is not an exponent vector for {n} variables")
-            if not any(e):
-                raise ImproperIdealError("1 cannot be a minimal generator")
 
     @classmethod
     def from_monomials(
@@ -184,7 +192,7 @@ class MonomialIdeal:
         """Minimalize a generating set; raises if 1 occurs."""
         monomials = list(monomials)
         if any(m.is_one for m in monomials):
-            raise ImproperIdealError("generating set contains 1 (unit ideal)")
+            raise ImproperIdealError("generators contain 1 (unit ideal)")
         if any(m.ctx != ctx for m in monomials):
             raise ContextMismatchError("generator from a different context")
         return cls(ctx, minimal_exponents(m.exponents for m in monomials))
@@ -196,7 +204,10 @@ class MonomialIdeal:
         masks, n = list(masks), ctx.n
         if any(m >> n for m in masks):
             raise ValueError("vertex index outside the context")
-        return cls(ctx, minimal_exponents(_exponent_tuples(masks, n)))
+        minimal = antichain(masks, minimal=True)
+        if minimal[:1] == (0,):
+            raise ImproperIdealError("generators contain 1 (unit ideal)")
+        return cls(ctx, tuple(sorted(_exponent_tuples(minimal, n), reverse=True)))
 
     @cached_property
     def gens(self) -> tuple[Monomial, ...]:

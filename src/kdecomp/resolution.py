@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .betti import BettiTable, binom
-from .complexes import SimplicialComplex
+from .complexes import SimplicialComplex, alexander_dual_ideal
 from .decomposition import (
     ComplexCertificate,
     ComplexLeaf,
@@ -68,24 +68,23 @@ def linear_quotients_order(ideal: MonomialIdeal) -> QuotientOrder | None:
     """
     if ideal.is_zero:
         raise ZeroIdealError("the zero ideal has no generators to order")
-    gens = list(ideal.gens)
-    dead: set[frozenset[Monomial]] = set()
+    gens = ideal.gens
+    dead: set[int] = set()  # placed generators, bit j for gens[j]
 
-    def extend(prefix: list[Monomial], sets: list[frozenset[int]]):
+    def extend(prefix: list[Monomial], sets: list[frozenset[int]], placed: int):
         if len(prefix) == len(gens):
             return QuotientOrder(tuple(prefix), tuple(sets))
-        placed = frozenset(prefix)
         if placed in dead:
             return None
-        for g in gens:
-            if g in placed:
+        for j, g in enumerate(gens):
+            if placed >> j & 1:
                 continue
             s = colon_is_variable_generated(prefix, g)
             if s is None:
                 continue
             prefix.append(g)
             sets.append(s)
-            found = extend(prefix, sets)
+            found = extend(prefix, sets, placed | 1 << j)
             if found is not None:
                 return found
             prefix.pop()
@@ -93,7 +92,7 @@ def linear_quotients_order(ideal: MonomialIdeal) -> QuotientOrder | None:
         dead.add(placed)
         return None
 
-    return extend([], [])
+    return extend([], [], 0)
 
 
 def order_from_certificate(cert: IdealCertificate) -> QuotientOrder:
@@ -206,8 +205,6 @@ def terao_check(ideal: MonomialIdeal, field=None) -> bool:
     A False return would indicate an implementation bug rather than an
     interesting ideal.
     """
-    from .complexes import alexander_dual_ideal
-
     if ideal.is_zero:
         raise ZeroIdealError("needs a nonzero ideal")
     if not ideal.is_squarefree:
@@ -221,10 +218,8 @@ def terao_check(ideal: MonomialIdeal, field=None) -> bool:
 def bight(ideal: MonomialIdeal) -> int:
     """Big height: the largest size of a minimal prime, i.e. the largest
     generator degree of the Alexander dual."""
-    from .complexes import alexander_dual_ideal
-
     if not ideal.is_squarefree:
         raise ValueError("big height via duality needs a squarefree ideal")
     if ideal.is_zero:
         raise ZeroIdealError("the zero ideal has no minimal primes")
-    return max(g.degree for g in alexander_dual_ideal(ideal).gens)
+    return max(map(sum, alexander_dual_ideal(ideal).exps))

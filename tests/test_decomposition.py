@@ -5,6 +5,7 @@ from random import Random
 import pytest
 
 from kdecomp import (
+    ImproperIdealError,
     IdealLeaf,
     IdealNode,
     ComplexLeaf,
@@ -15,6 +16,7 @@ from kdecomp import (
     SimplicialComplex,
     VariableContext,
     ZeroIdealError,
+    facet_complement_ideal,
     is_shedding_face,
     is_shedding_monomial,
     k_decomposable_complex,
@@ -192,11 +194,20 @@ def test_cross_mode_agreement_random(ctx4):
                 verify_complex_certificate(delta, dual, k)
 
 
+def test_facet_complement_ideal_rejects_a_facet_on_every_vertex(ctx3):
+    # the complement of such a facet is empty, so the ideal would hold 1
+    simplex = SimplicialComplex.from_facets(ctx3, [{0, 1, 2}])
+    for delta in (simplex, SimplicialComplex.irrelevant(ctx3)):
+        with pytest.raises(ImproperIdealError):
+            facet_complement_ideal(delta)
+    # with a vertex outside its facet, {{}} has the ideal of that vertex
+    lone = SimplicialComplex.irrelevant(ctx3, [2])
+    assert facet_complement_ideal(lone) == ideal(ctx3, "z")
+
+
 def test_pointwise_shedding_transport(ctx4):
     # sigma sheds the complex iff the support monomial sheds the
     # facet-complement ideal
-    from kdecomp import facet_complement_ideal
-
     rng = Random(59)
     for _ in range(80):
         delta = random_complex(rng, ctx4, 4)

@@ -242,6 +242,17 @@ def test_cli_clutter_bound(tmp_path, capsys):
     assert "reg R/I(H) = 1" in out
 
 
+def test_cli_clutter_bound_names_a_vertex_that_is_not_simplicial(capsys, monkeypatch):
+    # c has the neighbours b and d, which the 4-cycle a-b-c-d does not join
+    cycle = (
+        '{"kind":"clutter","vars":["a","b","c","d"],'
+        '"edges":[["a","b"],["b","c"],["c","d"],["d","a"]]}'
+    )
+    argv = ["clutter", "bound", "--vertex", "c", "--edge", "c,d"]
+    code, out, err = run_cli(capsys, argv, cycle, monkeypatch)
+    assert (code, out, err) == (2, "", "error: c is not a simplicial vertex\n")
+
+
 def test_cli_clutter_minor(tmp_path, capsys):
     path = tmp_path / "c4.json"
     path.write_text(

@@ -77,11 +77,13 @@ def test_minimalize_rejects_unit(ctx3, ctx4):
     for gens in ([ctx3.one(), mono(ctx4, "x")], [mono(ctx4, "x"), ctx3.one()]):
         with pytest.raises(ImproperIdealError):
             MonomialIdeal.from_monomials(ctx3, gens)
-    with pytest.raises(ImproperIdealError):
-        MonomialIdeal(ctx3, ((1, 0, 0), (0, 0, 0)))
+    # direct construction checks nothing, so the checked constructors reject
+    # 1; an exponent vector that does not fit the context is no monomial
+    with pytest.raises(ImproperIdealError, match="generators contain 1"):
+        MonomialIdeal.from_monomials(ctx3, [mono(ctx3, "x"), ctx3.monomial((0, 0, 0))])
     for bad in ((1, 0), (1, 0, 0, 0), (1, -1, 0)):
         with pytest.raises(ValueError):
-            MonomialIdeal(ctx3, (bad,))
+            MonomialIdeal.from_monomials(ctx3, [ctx3.monomial(bad)])
     # support masks: the empty one is 1, and a bit past the context is no vertex
     assert MonomialIdeal.from_masks(ctx3, [0b011, 0b111, 0b100]) == ideal(ctx3, "x*y", "z")
     with pytest.raises(ImproperIdealError):

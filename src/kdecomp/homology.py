@@ -2,14 +2,29 @@
 
 This module is the independent ground truth the formula-based
 computations are validated against.  Reduced simplicial homology is
-computed from boundary-matrix ranks.  One fraction-free (Bareiss)
-elimination serves both fields.  Over the rationals each update is
-divided exactly by the previous pivot, which keeps the integer entries
-from growing.  Over GF(p) the same update runs with the previous pivot
-fixed at 1 and is reduced mod p: replacing a row r by p*r - f*q, where
-q is the pivot row and p its nonzero pivot, is an invertible row
-operation, so the rank is kept, and reduction mod p already keeps the
-entries small, so no exact division is needed.
+computed from boundary-matrix ranks, level by level:
+
+- the map from vertices to the empty face has rank 1 once there is a
+  vertex;
+- the map from edges to vertices is the signed incidence matrix of a
+  graph, of rank |V| minus the number of components over every field,
+  which one union-find pass over the edges counts;
+- every higher map is reduced on unit (+-1) pivots first, which keeps
+  its entries integers and removes a row and a column per pivot, and
+  only the columns with no unit entry left go to one dense elimination.
+  The pivot columns are unit-triangular on their pivot rows and the
+  leftover columns vanish there, so the rank is the number of pivots
+  plus the rank of the leftover (see `_boundary_rank`).  Over GF(2)
+  and GF(3) every nonzero entry is +-1, so nothing is left over.
+
+One fraction-free (Bareiss) elimination, `_rank`, serves both fields.
+Over the rationals each update is divided exactly by the previous pivot,
+which keeps the integer entries from growing.  Over GF(p) the same
+update runs with the previous pivot fixed at 1 and is reduced mod p:
+replacing a row r by p*r - f*q, where q is the pivot row and p its
+nonzero pivot, is an invertible row operation, so the rank is kept, and
+reduction mod p already keeps the entries small, so no exact division
+is needed.
 
 Faces are handled as integer bitmasks over vertex indices throughout.
 
@@ -88,23 +103,91 @@ def _rank(rows: list[list[int]], field) -> int:
 def _faces_by_cardinality(face_masks) -> list[list[int]]:
     by_card: dict[int, list[int]] = {}
     for mask in face_masks:
-        by_card.setdefault(bin(mask).count("1"), []).append(mask)
+        by_card.setdefault(mask.bit_count(), []).append(mask)
     if not by_card:
         return []
     out = [sorted(by_card.get(c, [])) for c in range(max(by_card) + 1)]
     return out
 
 
+def _graph_rank(edges: list[int]) -> int:
+    """Rank of the edges-to-vertices boundary map, the signed incidence
+    matrix of a graph: |V| minus the number of components over every
+    field, which is the number of edges a union-find pass keeps."""
+    parent: dict[int, int] = {}
+
+    def root(x: int) -> int:
+        while (up := parent.get(x, x)) != x:
+            parent[x] = x = parent.get(up, up)
+        return x
+
+    rank = 0
+    for e in edges:
+        low = e & -e
+        a, b = root(low), root(e ^ low)
+        if a != b:
+            parent[a] = b
+            rank += 1
+    return rank
+
+
 def _boundary_rank(lower: list[int], upper: list[int], field) -> int:
-    """Rank of the boundary map from card-c faces (upper) down to card-(c-1)."""
+    """Rank of the boundary map from card-c faces (upper) down to card-(c-1).
+
+    Each column is a sparse dict {row: +-1}.  Columns are placed in turn,
+    each reduced by the pivot columns found so far, oldest first.  A pivot
+    column holds a unit u = +-1 at its own row and 0 at every older pivot
+    row; as u * u = 1, subtracting col[row] * u times it clears that row
+    with no division, so entries stay integers over Q (over GF(p) they
+    are reduced mod p).  A reduced column with a unit entry
+    becomes the next pivot; one with none is set aside, and once every
+    column is placed the set-aside ones are reduced again against every
+    pivot, so what is left is 0 at every pivot row.  Restricted to the
+    pivot rows the pivot columns are unit-triangular, hence the rank is
+    the number of pivots plus the rank of that remainder, which `_rank`
+    computes.  Over GF(2) and GF(3) every nonzero entry is +-1, so
+    nothing is left for `_rank`.
+    """
     if not lower or not upper:
         return 0
+    minus = -1 if field is None else field - 1
     row_index = {mask: r for r, mask in enumerate(lower)}
-    rows = [[0] * len(upper) for _ in lower]
-    for col, sigma in enumerate(upper):
-        for pos, v in enumerate(bits(sigma)):
-            rows[row_index[sigma ^ (1 << v)]][col] = -1 if pos % 2 else 1
-    return _rank(rows, field)
+    # the pivot column with its unit at each row, and its age
+    pivots: dict[int, dict[int, int]] = {}
+    age: dict[int, int] = {}
+
+    def reduce(col: dict[int, int]) -> dict[int, int]:
+        while hits := col.keys() & pivots.keys():
+            row = min(hits, key=age.__getitem__)
+            piv = pivots[row]
+            f = col[row] * piv[row]
+            for r, v in piv.items():
+                x = col.get(r, 0) - f * v
+                if field is not None:
+                    x %= field
+                if x:
+                    col[r] = x
+                else:
+                    del col[r]
+        return col
+
+    rest = []
+    for sigma in upper:
+        col = reduce({
+            row_index[sigma ^ (1 << v)]: minus if pos % 2 else 1
+            for pos, v in enumerate(bits(sigma))
+        })
+        row = next((r for r, x in col.items() if x == 1 or x == minus), None)
+        if row is not None:
+            age[row] = len(pivots)
+            pivots[row] = col
+        elif col:
+            rest.append(col)
+    rest = [col for col in map(reduce, rest) if col]
+    if not rest:
+        return len(pivots)
+    rows = sorted({r for col in rest for r in col})
+    return len(pivots) + _rank([[col.get(r, 0) for col in rest] for r in rows], field)
 
 
 def homology_dims_from_masks(face_masks, field=None) -> list[int]:
@@ -123,13 +206,19 @@ def homology_dims_from_masks(face_masks, field=None) -> list[int]:
     for v in bits(present):
         bit = 1 << v
         if all(m | bit in face_set for m in face_masks):
-            top = max(bin(m).count("1") for m in face_masks)
+            top = max(m.bit_count() for m in face_masks)
             return [0] * (top + 1)
     levels = _faces_by_cardinality(face_masks)
     if not levels:
         return []
     ranks = [0] * (len(levels) + 1)
-    for c in range(1, len(levels)):
+    # vertices -> {} has rank 1 once there is a vertex; edges -> vertices
+    # is a graph incidence matrix
+    if len(levels) > 1:
+        ranks[1] = 1
+    if len(levels) > 2:
+        ranks[2] = _graph_rank(levels[2])
+    for c in range(3, len(levels)):
         ranks[c] = _boundary_rank(levels[c - 1], levels[c], field)
     return [len(levels[c]) - ranks[c] - ranks[c + 1] for c in range(len(levels))]
 
@@ -213,7 +302,7 @@ def _oracle_table(ideal: MonomialIdeal, field, route: str) -> BettiTable:
     entries: dict[tuple[int, int], int] = {}
     for a in degrees:
         if hochster:
-            supp, j = a, bin(a).count("1")
+            supp, j = a, a.bit_count()
             walls = [g for g in supports if g & supp == g]
             faces = [s for s in submasks(supp) if all(w & s != w for w in walls)]
         else:

@@ -1,11 +1,13 @@
 from __future__ import annotations
 
+import json
 import sys
 import threading
 from itertools import combinations
 from random import Random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from kdecomp import (
     BettiTable,
@@ -20,8 +22,11 @@ from kdecomp import (
     reduced_homology_dims,
     stanley_reisner_ideal,
 )
+from kdecomp import homology
+from kdecomp.cli import main
 from kdecomp.generators import random_complex, random_monomial_ideal, random_squarefree_ideal
 from kdecomp.homology import _rank, homology_dims_from_masks
+from kdecomp.monomials import MonomialIdeal, bits, submasks
 
 from conftest import ideal
 
@@ -291,3 +296,93 @@ def test_koszul_budget(ctx3):
 def test_void_masks():
     assert homology_dims_from_masks([]) == []
     assert homology_dims_from_masks([0]) == [1]  # the complex {{}}
+
+
+def dense_homology_dims(face_masks, field):
+    """Reduced homology dimensions from the full dense boundary matrix of
+    every level, each ranked by `_rank`: no cone short-cut, no closed
+    forms, no unit pivots."""
+    levels = {}
+    for m in face_masks:
+        levels.setdefault(m.bit_count(), []).append(m)
+    if not levels:
+        return []
+    levels = [sorted(levels.get(c, [])) for c in range(max(levels) + 1)]
+    ranks = [0] * (len(levels) + 1)
+    for c in range(1, len(levels)):
+        lower, upper = levels[c - 1], levels[c]
+        row = {m: r for r, m in enumerate(lower)}
+        matrix = [[0] * len(upper) for _ in lower]
+        for col, sigma in enumerate(upper):
+            for pos, v in enumerate(bits(sigma)):
+                matrix[row[sigma ^ 1 << v]][col] = (-1) ** pos
+        ranks[c] = _rank(matrix, field)
+    return [len(levels[c]) - ranks[c] - ranks[c + 1] for c in range(len(levels))]
+
+
+def closure(facets):
+    return sorted({s for f in facets for s in submasks(f)})
+
+
+RP2_MASKS = [sum(1 << v for v in f) for f in RP2_FACETS]
+
+
+@st.composite
+def face_sets(draw):
+    """Downward-closed face-mask sets on up to 8 vertices.  About half of
+    those on 6 or more vertices contain a relabelled real projective
+    plane and a few more triangles: its 2-torsion leaves boundary columns
+    with no unit entry over Q."""
+    n = draw(st.integers(0, 8))
+    facets = draw(st.lists(st.integers(0, 2**n - 1), max_size=6))  # [] is void
+    if n >= 6 and draw(st.booleans()):
+        perm = draw(st.permutations(range(n)))
+        facets += [sum(1 << perm[v] for v in range(6) if f >> v & 1) for f in RP2_MASKS]
+        triangles = st.sets(st.integers(0, n - 1), min_size=3, max_size=3)
+        facets += [sum(1 << v for v in t) for t in draw(st.lists(triangles, max_size=3))]
+    return closure(facets)
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(face_sets())
+@example([])
+@example([0])
+@example(closure([1, 2, 4, 8]))  # four isolated vertices
+@example(closure([0b11, 0b110, 0b11000, 0b1100000, 0b10000000]))  # three components
+@example(closure(RP2_MASKS))
+# the triangle {3,4,5} gets a pivot row that a set-aside RP^2 column holds
+@example(closure(RP2_MASKS + [0b111000]))
+def test_homology_dims_match_dense_ranks(faces):
+    for field in (None, 2, 3):
+        assert homology_dims_from_masks(faces, field) == dense_homology_dims(faces, field)
+
+
+def test_rp2_remainder_reaches_rank_over_q_only(monkeypatch):
+    calls = []
+
+    def counting_rank(rows, field):
+        calls.append(field)
+        return _rank(rows, field)
+
+    monkeypatch.setattr(homology, "_rank", counting_rank)
+    faces = closure(RP2_MASKS)
+    # reduced H_1 and H_2 (entries 2 and 3) vanish over Q and not over GF(2)
+    assert homology_dims_from_masks(faces) == [0, 0, 0, 0]
+    assert calls == [None]
+    calls.clear()
+    assert homology_dims_from_masks(faces, 2) == [0, 0, 1, 1]
+    assert calls == []
+
+
+def test_principal_nonface_ideal_on_twelve_variables(tmp_path, capsys):
+    # the boundary of the 11-simplex: one generator of degree 12
+    names = [f"x{i}" for i in range(12)]
+    ctx = VariableContext(tuple(names))
+    assert dict(betti_hochster(MonomialIdeal.from_masks(ctx, [2**12 - 1])).items()) == {
+        (0, 12): 1
+    }
+    path = tmp_path / "boundary.json"
+    path.write_text(json.dumps({"kind": "ideal", "vars": names, "gens": ["*".join(names)]}))
+    assert main(["invariants", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert out == "ideal: reg = 12, pd = 0\nquotient: reg = 11, pd = 1\nbight = 1\n"

@@ -2,20 +2,26 @@
 
 This module is the independent ground truth the formula-based
 computations are validated against.  Reduced simplicial homology is
-computed from boundary-matrix ranks, level by level:
+computed from boundary-matrix ranks, level by level, from the top down
+(`_homology_dims`):
 
-- the map from vertices to the empty face has rank 1 once there is a
-  vertex;
+- every map from triangles up is reduced on unit (+-1) pivots first,
+  which keeps its entries integers and removes a row and a column per
+  pivot, and only the columns with no unit entry left go to one dense
+  elimination.  The pivot columns are unit-triangular on their pivot
+  rows and the leftover columns vanish there, so the rank is the number
+  of pivots plus the rank of the leftover (see `_boundary_rank`).  Over
+  GF(2) and GF(3) every nonzero entry is +-1, so nothing is left over;
+- the map one level down skips the faces that are unit-pivot rows of
+  the map above ("clearing", Chen-Kerber 2011): the pivot columns are
+  boundaries, which the lower map kills, and with the unit vectors of
+  the other faces they form a basis, so the lower rank is unchanged.
+  Rows that only the dense elimination pivots on are not cleared;
 - the map from edges to vertices is the signed incidence matrix of a
   graph, of rank |V| minus the number of components over every field,
-  which one union-find pass over the edges counts;
-- every higher map is reduced on unit (+-1) pivots first, which keeps
-  its entries integers and removes a row and a column per pivot, and
-  only the columns with no unit entry left go to one dense elimination.
-  The pivot columns are unit-triangular on their pivot rows and the
-  leftover columns vanish there, so the rank is the number of pivots
-  plus the rank of the leftover (see `_boundary_rank`).  Over GF(2)
-  and GF(3) every nonzero entry is +-1, so nothing is left over.
+  which one union-find pass over the uncleared edges counts;
+- the map from vertices to the empty face has rank 1 once there is a
+  vertex.
 
 One fraction-free (Bareiss) elimination, `_rank`, serves both fields.
 Over the rationals each update is divided exactly by the previous pivot,
@@ -30,18 +36,38 @@ Faces are handled as integer bitmasks over vertex indices throughout.
 
 Both Betti oracles, Hochster's formula for squarefree ideals and the
 upper Koszul complexes for any monomial ideal, run one loop over
-multidegrees of the lcm lattice of the generators.  They differ only in
-the face test applied to the subsets of each multidegree's support (the
-two complexes are Alexander dual, so the routes stay independent checks
-of each other) and in the homological index the homology feeds.  One
-cache holds their tables, keyed by route, generators and field; once it
-holds ORACLE_CACHE_SIZE tables, the oldest is dropped first.
+multidegrees of the lcm lattice of the generators.  They differ in how
+each multidegree's complex is found (the two complexes are Alexander
+dual, so the routes stay independent checks of each other) and in the
+homological index the homology feeds:
+
+- Hochster: the faces of the nonface complex on the union of the
+  generator supports are enumerated once per table, level by level and
+  sorted by mask; the complex at a degree a is the faces inside a.
+- Koszul: the subsets of supp(a) that miss some wall, a wall being the
+  set of variables where a generator g <= a reaches a.
+
+A cone has no reduced homology, so a cone is not ranked.  Each caller
+tests it on masks, where it knows why one can occur:
+
+- `reduced_homology_dims`: a vertex lies in every facet, that is, the
+  AND of the facet masks is nonzero;
+- Koszul: some wall is empty (every subset of supp(a) is a face), or a
+  vertex of supp(a) lies in no wall (it can join every face);
+- Hochster: none is needed.  A lattice degree is a union of generator
+  supports, the minimal nonfaces inside it, so every vertex lies in a
+  minimal nonface and none can join every face.
+
+One cache holds the oracles' tables, keyed by route, generators and
+field; once it holds ORACLE_CACHE_SIZE tables, the oldest is dropped
+first.
 """
 
 from __future__ import annotations
 
+from functools import reduce
 from itertools import product
-from operator import or_
+from operator import and_, or_
 from threading import Lock
 
 from .betti import BettiTable
@@ -106,8 +132,7 @@ def _faces_by_cardinality(face_masks) -> list[list[int]]:
         by_card.setdefault(mask.bit_count(), []).append(mask)
     if not by_card:
         return []
-    out = [sorted(by_card.get(c, [])) for c in range(max(by_card) + 1)]
-    return out
+    return [sorted(by_card.get(c, [])) for c in range(max(by_card) + 1)]
 
 
 def _graph_rank(edges: list[int]) -> int:
@@ -131,32 +156,38 @@ def _graph_rank(edges: list[int]) -> int:
     return rank
 
 
-def _boundary_rank(lower: list[int], upper: list[int], field) -> int:
-    """Rank of the boundary map from card-c faces (upper) down to card-(c-1).
+def _boundary_rank(upper: list[int], field) -> tuple[int, dict]:
+    """Rank of the boundary map on the faces `upper`, all of one
+    cardinality c >= 3, and its unit-pivot rows, keyed by face mask.
 
-    Each column is a sparse dict {row: +-1}.  Columns are placed in turn,
-    each reduced by the pivot columns found so far, oldest first.  A pivot
-    column holds a unit u = +-1 at its own row and 0 at every older pivot
-    row; as u * u = 1, subtracting col[row] * u times it clears that row
-    with no division, so entries stay integers over Q (over GF(p) they
-    are reduced mod p).  A reduced column with a unit entry
-    becomes the next pivot; one with none is set aside, and once every
-    column is placed the set-aside ones are reduced again against every
-    pivot, so what is left is 0 at every pivot row.  Restricted to the
-    pivot rows the pivot columns are unit-triangular, hence the rank is
-    the number of pivots plus the rank of that remainder, which `_rank`
-    computes.  Over GF(2) and GF(3) every nonzero entry is +-1, so
-    nothing is left for `_rank`.
+    Each column is a sparse dict {face: +-1} over the faces of
+    cardinality c - 1.  Columns are placed in turn, each reduced by the
+    pivot columns found so far, oldest first.  A pivot column holds a
+    unit u = +-1 at its own row and 0 at every older pivot row; as
+    u * u = 1, subtracting col[row] * u times it clears that row with no
+    division, so entries stay integers over Q (over GF(p) they are
+    reduced mod p).  A reduced column with a unit entry becomes the next
+    pivot; one with none is set aside, and once every column is placed
+    the set-aside ones are reduced again against every pivot, so what is
+    left is 0 at every pivot row.  Restricted to the pivot rows the pivot
+    columns are unit-triangular, hence the rank is the number of pivots
+    plus the rank of that remainder, which `_rank` computes.  Over GF(2)
+    and GF(3) every nonzero entry is +-1, so nothing is left for `_rank`.
+
+    The pivot rows let the next map down skip their faces (clearing):
+    the pivot columns, unit-triangular on the pivot rows, and the unit
+    vectors of every other face of cardinality c - 1 form a basis, and
+    the boundary kills the pivot columns, which are boundaries; so that
+    map has the same rank on the other faces alone.  The rows a
+    set-aside column ends on are not unit pivots and are not returned.
     """
-    if not lower or not upper:
-        return 0
-    minus = -1 if field is None else field - 1
-    row_index = {mask: r for r, mask in enumerate(lower)}
+    flip = 0 if field is None else field  # sign -> flip - sign swaps 1, -1
+    minus = flip - 1
     # the pivot column with its unit at each row, and its age
     pivots: dict[int, dict[int, int]] = {}
     age: dict[int, int] = {}
 
-    def reduce(col: dict[int, int]) -> dict[int, int]:
+    def reduced(col: dict[int, int]) -> dict[int, int]:
         while hits := col.keys() & pivots.keys():
             row = min(hits, key=age.__getitem__)
             piv = pivots[row]
@@ -173,21 +204,49 @@ def _boundary_rank(lower: list[int], upper: list[int], field) -> int:
 
     rest = []
     for sigma in upper:
-        col = reduce({
-            row_index[sigma ^ (1 << v)]: minus if pos % 2 else 1
-            for pos, v in enumerate(bits(sigma))
-        })
+        col = {}
+        sign, m = 1, sigma
+        while m:
+            low = m & -m
+            col[sigma ^ low] = sign
+            sign = flip - sign
+            m ^= low
+        col = reduced(col)
         row = next((r for r, x in col.items() if x == 1 or x == minus), None)
         if row is not None:
             age[row] = len(pivots)
             pivots[row] = col
         elif col:
             rest.append(col)
-    rest = [col for col in map(reduce, rest) if col]
+    rest = [col for col in map(reduced, rest) if col]
     if not rest:
-        return len(pivots)
+        return len(pivots), pivots
     rows = sorted({r for col in rest for r in col})
-    return len(pivots) + _rank([[col.get(r, 0) for col in rest] for r in rows], field)
+    rank = _rank([[col.get(r, 0) for col in rest] for r in rows], field)
+    return len(pivots) + rank, pivots
+
+
+def _homology_dims(levels: list[list[int]], field) -> list[int]:
+    """Reduced homology dimensions, degree -1 first, of the complex whose
+    faces of cardinality c are `levels[c]`, with no empty level.
+
+    The maps are ranked from the top down, each on the faces the map
+    above did not clear (see `_boundary_rank`); the two lowest have
+    closed forms.
+    """
+    ranks = [0] * (len(levels) + 1)
+    cleared: dict = {}
+    for c in range(len(levels) - 1, 2, -1):
+        ranks[c], cleared = _boundary_rank(
+            [s for s in levels[c] if s not in cleared], field
+        )
+    # edges -> vertices is a graph incidence matrix; vertices -> {} has
+    # rank 1 once there is a vertex
+    if len(levels) > 2:
+        ranks[2] = _graph_rank([e for e in levels[2] if e not in cleared])
+    if len(levels) > 1:
+        ranks[1] = 1
+    return [len(levels[c]) - ranks[c] - ranks[c + 1] for c in range(len(levels))]
 
 
 def homology_dims_from_masks(face_masks, field=None) -> list[int]:
@@ -196,31 +255,10 @@ def homology_dims_from_masks(face_masks, field=None) -> list[int]:
     The empty face (mask 0) must be present unless the set is empty
     (the void complex, which has no homology at all).
     """
-    face_masks = list(face_masks)
-    face_set = set(face_masks)
-    present = 0
-    for m in face_masks:
-        present |= m
-    # A cone is contractible: if some vertex extends every face, all the
-    # reduced homology vanishes and no ranks are needed.
-    for v in bits(present):
-        bit = 1 << v
-        if all(m | bit in face_set for m in face_masks):
-            top = max(m.bit_count() for m in face_masks)
-            return [0] * (top + 1)
     levels = _faces_by_cardinality(face_masks)
-    if not levels:
-        return []
-    ranks = [0] * (len(levels) + 1)
-    # vertices -> {} has rank 1 once there is a vertex; edges -> vertices
-    # is a graph incidence matrix
-    if len(levels) > 1:
-        ranks[1] = 1
-    if len(levels) > 2:
-        ranks[2] = _graph_rank(levels[2])
-    for c in range(3, len(levels)):
-        ranks[c] = _boundary_rank(levels[c - 1], levels[c], field)
-    return [len(levels[c]) - ranks[c] - ranks[c + 1] for c in range(len(levels))]
+    if levels and not levels[0]:
+        raise ValueError("a nonempty face set must hold the empty face")
+    return _homology_dims(levels, field)
 
 
 def reduced_homology_dims(delta: SimplicialComplex, field=None) -> list[int]:
@@ -231,6 +269,9 @@ def reduced_homology_dims(delta: SimplicialComplex, field=None) -> list[int]:
         raise BudgetExceededError(f"homology budget is {VERTEX_BUDGET} vertices, got {size}")
     if delta.is_void:
         return []
+    # a vertex in every facet is a cone point: all reduced homology vanishes
+    if reduce(and_, delta.facet_masks):
+        return [0] * (max(f.bit_count() for f in delta.facet_masks) + 1)
     masks = {s for f in delta.facet_masks for s in submasks(f)}
     return homology_dims_from_masks(masks, field)
 
@@ -248,6 +289,32 @@ def _lcm_closure(gens, join) -> set:
         closure |= {join(a, g) for a in closure}
         closure.add(g)
     return closure
+
+
+def _nonface_levels(supports: list[int]) -> list[list[int]]:
+    """The faces of the complex on the union of `supports` whose
+    nonfaces contain a support, by cardinality, each level sorted by
+    mask.  Level c + 1 extends each face s of level c by a vertex v above
+    its highest one; as s is a face, a support inside s | v holds v, so
+    only the supports whose highest vertex is v need a test."""
+    by_top: dict[int, list[int]] = {}
+    for g in supports:
+        by_top.setdefault(1 << (g.bit_length() - 1), []).append(g)
+    vertices = [1 << v for v in bits(reduce(or_, supports))]
+    levels = [[0]]
+    while True:
+        nxt = []  # by top vertex, then by the rest: ascending masks
+        for v in vertices:
+            tops = by_top.get(v, ())
+            for s in levels[-1]:
+                if s >= v:  # the rest of the level reaches v or above
+                    break
+                t = s | v
+                if all(g & t != g for g in tops):
+                    nxt.append(t)
+        if not nxt:
+            return levels
+        levels.append(nxt)
 
 
 def _oracle_table(ideal: MonomialIdeal, field, route: str) -> BettiTable:
@@ -296,15 +363,21 @@ def _oracle_table(ideal: MonomialIdeal, field, route: str) -> BettiTable:
         # squarefree: the lattice degrees are unions of supports, as masks
         supports = [sum(e << v for v, e in enumerate(g)) for g in gens]
         degrees = _lcm_closure(supports, or_)
+        levels = _nonface_levels(supports)
     else:
         degrees = _lcm_closure(gens, lambda a, b: tuple(map(max, a, b)))
 
     entries: dict[tuple[int, int], int] = {}
     for a in degrees:
         if hochster:
-            supp, j = a, a.bit_count()
-            walls = [g for g in supports if g & supp == g]
-            faces = [s for s in submasks(supp) if all(w & s != w for w in walls)]
+            # a union of walls leaves no vertex free, so no cone test
+            j = a.bit_count()
+            sub = []
+            for level in levels:
+                faces = [s for s in level if s | a == a]
+                if not faces:
+                    break
+                sub.append(faces)
         else:
             supp, j = sum(1 << v for v, e in enumerate(a) if e), sum(a)
             # tight(g, a) = {i : g_i = a_i > 0} for each generator g <= a
@@ -313,8 +386,15 @@ def _oracle_table(ideal: MonomialIdeal, field, route: str) -> BettiTable:
                 for g in gens
                 if all(x <= y for x, y in zip(g, a))
             ]
-            faces = [s for s in submasks(supp) if any(not w & s for w in walls)]
-        for c, h in enumerate(homology_dims_from_masks(faces, field)):
+            # No walls: the void complex.  An empty wall makes every subset
+            # of supp(a) a face, and a vertex of supp(a) in no wall extends
+            # every face; either way a cone, with no reduced homology.
+            if not walls or 0 in walls or reduce(or_, walls) != supp:
+                continue
+            sub = _faces_by_cardinality(
+                s for s in submasks(supp) if any(not w & s for w in walls)
+            )
+        for c, h in enumerate(_homology_dims(sub, field)):
             i = j - c - 1 if hochster else c
             if h and i >= 0:
                 entries[(i, j)] = entries.get((i, j), 0) + h

@@ -195,14 +195,15 @@ def test_koszul_equals_hochster_on_squarefree(ctx4):
 
 def hochster_by_subsets(squarefree, field=None):
     """Hochster's formula summed over every subset W of the variables,
-    through the complex API rather than the oracle's multidegree loop."""
+    through the complex API rather than the oracle's multidegree loop, and
+    ranked by the dense reference: no shared face levels, no clearing."""
     ctx = squarefree.ctx
     delta = independence_complex(ctx, range(ctx.n), [g.support for g in squarefree.gens])
     entries = {}
     for j in range(ctx.n + 1):
         for w in combinations(range(ctx.n), j):
             sub = induced_subcomplex(delta, delta.vertices & set(w))
-            for c, h in enumerate(reduced_homology_dims(sub, field)):
+            for c, h in enumerate(dense_homology_dims(closure(sub.facet_masks), field)):
                 i = j - c - 1
                 if h and i >= 0:
                     entries[(i, j)] = entries.get((i, j), 0) + h
@@ -220,12 +221,35 @@ def test_hochster_equals_subset_reference():
     assert betti_hochster(rp2, 2) != betti_hochster(rp2)
 
 
-def test_koszul_lattice_scan_equals_full_scan(ctx3):
-    # the multidegree pruning is a pure optimization
+@st.composite
+def squarefree_ideals(draw):
+    """Squarefree ideals on 1 to 7 variables, from up to 8 supports."""
+    n = draw(st.integers(1, 7))
+    masks = draw(st.lists(st.integers(1, 2**n - 1), min_size=1, max_size=8))
+    return MonomialIdeal.from_masks(VariableContext(tuple(f"x{v}" for v in range(n))), masks)
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(squarefree_ideals())
+@example(rp2_nonface_ideal())
+def test_oracles_match_the_subset_reference(squarefree):
+    for field in (None, 2, 3):
+        reference = hochster_by_subsets(squarefree, field)
+        assert betti_hochster(squarefree, field) == reference
+        assert betti_koszul(squarefree, field) == reference
+
+
+def test_koszul_lattice_scan_equals_full_scan(ctx3, ctx4):
+    # the multidegree pruning is a pure optimization; most box degrees of
+    # a non-squarefree ideal are cones
     rng = Random(29)
     for _ in range(25):
         i = random_monomial_ideal(rng, ctx3, 4, 2)
         assert betti_koszul(i) == betti_koszul(i, all_multidegrees=True)
+    for _ in range(10):
+        i = random_monomial_ideal(rng, ctx4, 5, 2)
+        for field in (None, 3):
+            assert betti_koszul(i, field) == betti_koszul(i, field, all_multidegrees=True)
 
 
 def test_field_independence_for_linear_quotient_ideals(ctx4):
@@ -296,6 +320,9 @@ def test_koszul_budget(ctx3):
 def test_void_masks():
     assert homology_dims_from_masks([]) == []
     assert homology_dims_from_masks([0]) == [1]  # the complex {{}}
+    # a nonempty face set with no empty face is no complex
+    with pytest.raises(ValueError):
+        homology_dims_from_masks([1])
 
 
 def dense_homology_dims(face_masks, field):
@@ -357,6 +384,32 @@ def test_homology_dims_match_dense_ranks(faces):
         assert homology_dims_from_masks(faces, field) == dense_homology_dims(faces, field)
 
 
+def cone_over(facets, apex):
+    return [f | 1 << apex for f in facets]
+
+
+@pytest.mark.parametrize(
+    "n, facets",
+    [
+        (0, []),  # void
+        (0, [0]),  # {{}}
+        (3, [0]),  # {{}} with unused vertices
+        (4, [0b1111]),  # a single simplex
+        (1, [0b1]),  # a single vertex
+        (3, cone_over([0b01, 0b10], 2)),  # a cone over two points
+        (4, cone_over([0b011, 0b110, 0b101], 3)),  # a cone over a circle
+        (7, cone_over(RP2_MASKS, 6)),
+        (6, RP2_MASKS),  # not a cone
+        (4, [0b0011, 0b0110, 0b1100]),  # a path: no vertex in every facet
+    ],
+)
+def test_reduced_homology_matches_dense_ranks(n, facets):
+    ctx = VariableContext(tuple(f"v{i}" for i in range(n)))
+    delta = SimplicialComplex.from_facets(ctx, [bits(f) for f in facets])
+    for field in (None, 2, 3):
+        assert reduced_homology_dims(delta, field) == dense_homology_dims(closure(facets), field)
+
+
 def test_rp2_remainder_reaches_rank_over_q_only(monkeypatch):
     calls = []
 
@@ -386,3 +439,14 @@ def test_principal_nonface_ideal_on_twelve_variables(tmp_path, capsys):
     assert main(["invariants", str(path)]) == 0
     out = capsys.readouterr().out
     assert out == "ideal: reg = 12, pd = 0\nquotient: reg = 11, pd = 1\nbight = 1\n"
+
+
+def test_twelve_cycle_edge_ideal():
+    # the table the multidegree loop gave before the face levels were shared
+    ctx = VariableContext(tuple(f"x{i}" for i in range(12)))
+    cycle = MonomialIdeal.from_masks(ctx, [1 << i | 1 << (i + 1) % 12 for i in range(12)])
+    assert sorted(betti_hochster(cycle).items()) == [
+        ((0, 2), 12), ((1, 3), 12), ((1, 4), 42), ((2, 5), 84), ((2, 6), 40),
+        ((3, 6), 42), ((3, 7), 120), ((3, 8), 3), ((4, 8), 120), ((4, 9), 12),
+        ((5, 9), 40), ((5, 10), 18), ((6, 11), 12), ((7, 12), 2),
+    ]

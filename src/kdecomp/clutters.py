@@ -32,7 +32,7 @@ from .errors import (
     ImproperContractionError,
     PropertyViolationError,
 )
-from .homology import oracle_quotient_reg_pd
+from .homology import check_field, hochster_from_masks
 from .monomials import MonomialIdeal, VariableContext, antichain, bits, mask_of
 
 CHORDALITY_VERTEX_BUDGET = 10
@@ -303,8 +303,12 @@ def chordal_reg_bound(
 
     All regularities are oracle-computed.  x must be a simplicial vertex
     contained in the edge e.  A failed identity or bound raises
-    PropertyViolationError carrying the report.
+    PropertyViolationError carrying the report.  No ideal is built: the
+    oracle gets the edge masks of the clutter and its minors, which are
+    antichains already, and the masks of (prod sigma) + I(H), the one
+    set that needs minimalizing.
     """
+    check_field(field)
     e = frozenset(e)
     if not is_simplicial_vertex(clutter, x):
         raise ValueError(f"{clutter.ctx.names[x]} is not a simplicial vertex")
@@ -314,16 +318,16 @@ def chordal_reg_bound(
     sigma = bits(sigma_mask)
     d = len(sigma)
 
-    reg = oracle_quotient_reg_pd(edge_ideal(clutter), field)[0]
-    with_sigma = MonomialIdeal.from_masks(clutter.ctx, [sigma_mask, *clutter.edge_masks])
-    identity_deletion = oracle_quotient_reg_pd(with_sigma, field)[0]
-    contracted = edge_ideal(contraction_set(clutter, sigma))
-    link_term = oracle_quotient_reg_pd(contracted, field)[0] + d
+    def quotient_reg(edges: tuple[int, ...]) -> int:
+        """reg R/I for the edge masks of I; an edgeless minor gives 0."""
+        return hochster_from_masks(edges, field).reg - 1 if edges else 0
+
+    edges = clutter.edge_masks
+    reg = quotient_reg(edges)
+    identity_deletion = quotient_reg(antichain([sigma_mask, *edges], minimal=True))
+    link_term = quotient_reg(contraction_set(clutter, sigma).edge_masks) + d
     bound_deletion = (
-        sum(
-            oracle_quotient_reg_pd(edge_ideal(deletion(clutter, v)), field)[0]
-            for v in sigma
-        )
+        sum(quotient_reg(_delete(clutter.vertex_mask, edges, 1 << v)[1]) for v in sigma)
         + d
         - 1
     )

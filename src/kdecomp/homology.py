@@ -60,7 +60,12 @@ tests it on masks, where it knows why one can occur:
 
 One cache holds the oracles' tables, keyed by route, generators and
 field; once it holds ORACLE_CACHE_SIZE tables, the oldest is dropped
-first.
+first.  The Koszul routes key an ideal by its exponent tuples.  The
+Hochster route keys it by the ascending tuple of its minimal support
+masks, and `hochster_from_masks` takes that tuple directly, so a caller
+that holds the masks (a clutter's edges, say) builds no ideal;
+`betti_hochster` converts a squarefree ideal's generators once and calls
+it.
 """
 
 from __future__ import annotations
@@ -291,7 +296,7 @@ def _lcm_closure(gens, join) -> set:
     return closure
 
 
-def _nonface_levels(supports: list[int]) -> list[list[int]]:
+def _nonface_levels(supports: tuple[int, ...]) -> list[list[int]]:
     """The faces of the complex on the union of `supports` whose
     nonfaces contain a support, by cardinality, each level sorted by
     mask.  Level c + 1 extends each face s of level c by a vertex v above
@@ -317,10 +322,12 @@ def _nonface_levels(supports: list[int]) -> list[list[int]]:
         levels.append(nxt)
 
 
-def _oracle_table(ideal: MonomialIdeal, field, route: str) -> BettiTable:
-    """The Betti table of `ideal` by one oracle route, cached per route,
-    generators and field.
+def _oracle_table(gens: tuple, field, route: str) -> BettiTable:
+    """The Betti table of the ideal generated by `gens` by one oracle
+    route, cached per route, generators and field.
 
+    `gens` are the sorted minimal support masks for "hochster" and the
+    exponent tuples of the minimal generators for "koszul" and "box".
     Every route runs the same loop over multidegrees a; only the face
     test on the subsets s of supp(a) and the homological index differ:
 
@@ -333,39 +340,34 @@ def _oracle_table(ideal: MonomialIdeal, field, route: str) -> BettiTable:
 
     Both scan the lcm lattice of the generators, where all nonzero Betti
     numbers lie (Gasharov-Peeva-Welker); for "hochster" it is the set of
-    unions of generator supports, kept as masks.  "box" scans every a
-    below the generator lcm instead.
+    unions of generator supports.  "box" scans every a below the
+    generator lcm instead.
     """
     check_field(field)
-    if ideal.is_zero:
+    if not gens:
         raise ZeroIdealError("Betti numbers need a nonzero ideal")
-    hochster = route == "hochster"
-    if hochster and not ideal.is_squarefree:
-        raise ValueError("this oracle needs a squarefree ideal")
-    gens = ideal.exps
     key = (route, gens, field)
     cached = _oracle_cache.get(key)
     if cached is not None:
         return cached
 
-    lcm = tuple(map(max, zip(*gens)))
-    if hochster and sum(lcm) > VERTEX_BUDGET:
-        raise BudgetExceededError(
-            f"oracle budget is {VERTEX_BUDGET} vertices, got {sum(lcm)}"
-        )
-    if not hochster and sum(lcm) > LCM_DEGREE_BUDGET:
-        raise BudgetExceededError(
-            f"oracle lcm-degree budget is {LCM_DEGREE_BUDGET}, got {sum(lcm)}"
-        )
-    if route == "box":
-        degrees = product(*(range(e + 1) for e in lcm))
-    elif hochster:
-        # squarefree: the lattice degrees are unions of supports, as masks
-        supports = [sum(e << v for v, e in enumerate(g)) for g in gens]
-        degrees = _lcm_closure(supports, or_)
-        levels = _nonface_levels(supports)
+    hochster = route == "hochster"
+    if hochster:
+        size = reduce(or_, gens).bit_count()
+        if size > VERTEX_BUDGET:
+            raise BudgetExceededError(f"oracle budget is {VERTEX_BUDGET} vertices, got {size}")
+        degrees = _lcm_closure(gens, or_)
+        levels = _nonface_levels(gens)
     else:
-        degrees = _lcm_closure(gens, lambda a, b: tuple(map(max, a, b)))
+        lcm = tuple(map(max, zip(*gens)))
+        if sum(lcm) > LCM_DEGREE_BUDGET:
+            raise BudgetExceededError(
+                f"oracle lcm-degree budget is {LCM_DEGREE_BUDGET}, got {sum(lcm)}"
+            )
+        if route == "box":
+            degrees = product(*(range(e + 1) for e in lcm))
+        else:
+            degrees = _lcm_closure(gens, lambda a, b: tuple(map(max, a, b)))
 
     entries: dict[tuple[int, int], int] = {}
     for a in degrees:
@@ -407,11 +409,26 @@ def _oracle_table(ideal: MonomialIdeal, field, route: str) -> BettiTable:
     return table
 
 
+def hochster_from_masks(masks: tuple[int, ...], field=None) -> BettiTable:
+    """Graded Betti numbers of the squarefree ideal whose minimal
+    generators have the support masks `masks`, an ascending tuple of
+    pairwise incomparable nonzero masks (not checked), by Hochster's
+    formula: induced-subcomplex homology of the nonface complex, summed
+    over unions of generator supports."""
+    return _oracle_table(masks, field, "hochster")
+
+
+def _support_masks(ideal: MonomialIdeal) -> tuple[int, ...]:
+    """The ascending support masks of a squarefree ideal's generators."""
+    return tuple(sorted(sum(e << v for v, e in enumerate(g)) for g in ideal.exps))
+
+
 def betti_hochster(ideal: MonomialIdeal, field=None) -> BettiTable:
-    """Graded Betti numbers of a squarefree ideal from induced-subcomplex
-    homology of its nonface complex, summed over unions of generator
-    supports."""
-    return _oracle_table(ideal, field, "hochster")
+    """Graded Betti numbers of a squarefree ideal by Hochster's formula
+    (see `hochster_from_masks`)."""
+    if not ideal.is_squarefree:
+        raise ValueError("this oracle needs a squarefree ideal")
+    return hochster_from_masks(_support_masks(ideal), field)
 
 
 def betti_koszul(
@@ -426,18 +443,19 @@ def betti_koszul(
     `all_multidegrees` switch scans the full box below the generator lcm
     instead, as a self-check.
     """
-    return _oracle_table(ideal, field, "box" if all_multidegrees else "koszul")
+    return _oracle_table(ideal.exps, field, "box" if all_multidegrees else "koszul")
 
 
 def oracle_ideal_table(ideal: MonomialIdeal, field=None) -> BettiTable:
     """Ground-truth table: induced-subcomplex route when squarefree."""
     if ideal.is_squarefree:
-        return betti_hochster(ideal, field)
+        return hochster_from_masks(_support_masks(ideal), field)
     return betti_koszul(ideal, field)
 
 
 def oracle_quotient_reg_pd(ideal: MonomialIdeal, field=None) -> tuple[int, int]:
     """(reg R/I, pd R/I) from the oracle; (0, 0) for the zero ideal."""
+    check_field(field)
     if ideal.is_zero:
         return (0, 0)
     table = oracle_ideal_table(ideal, field)

@@ -3,6 +3,7 @@ from __future__ import annotations
 from random import Random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from kdecomp import (
     BudgetExceededError,
@@ -19,7 +20,9 @@ from kdecomp import (
     is_simplicial_vertex,
     lemma_h_ideals,
 )
+from kdecomp import homology
 from kdecomp.generators import all_graphs, random_clutter
+from kdecomp.monomials import MonomialIdeal, VariableContext, bits, mask_of
 
 from conftest import ideal
 
@@ -228,6 +231,58 @@ def test_chordal_reg_bound_goldens(ctx3, ctx4):
     single = Clutter.from_edges(ctx3, [[0, 1]])
     report = chordal_reg_bound(single, 0, frozenset({0, 1}))
     assert (report.reg, report.identity_rhs) == (1, 1)
+
+
+@st.composite
+def small_clutters(draw):
+    """Clutters on 2 to 6 vertices, from up to 7 edges of size >= 2."""
+    n = draw(st.integers(2, 6))
+    edge = st.integers(3, 2**n - 1).filter(lambda m: m.bit_count() >= 2)
+    masks = draw(st.lists(edge, min_size=1, max_size=7))
+    ctx = VariableContext(tuple(f"x{v}" for v in range(n)))
+    return Clutter.from_edges(ctx, [bits(m) for m in masks], vertices=range(n))
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(small_clutters())
+def test_chordal_reg_bound_masks_match_the_ideal_route(clutter):
+    """The mask route of `chordal_reg_bound` against regularities of the
+    same minors' ideals, built by `from_masks` and read by
+    `oracle_quotient_reg_pd`."""
+
+    def quotient_reg(masks, field):
+        ideal = MonomialIdeal.from_masks(clutter.ctx, masks)
+        return homology.oracle_quotient_reg_pd(ideal, field)[0]
+
+    for field in (None, 2):
+        for x in sorted(clutter.vertices):
+            if not is_simplicial_vertex(clutter, x):
+                continue
+            for e in sorted((e for e in clutter.edges if x in e), key=sorted):
+                report = chordal_reg_bound(clutter, x, e, field)
+                sigma = e - {x}
+                d = len(sigma)
+                link = quotient_reg(contraction_set(clutter, sigma).edge_masks, field) + d
+                expected = dict(
+                    d=d,
+                    reg=quotient_reg(clutter.edge_masks, field),
+                    identity_deletion=quotient_reg([mask_of(sigma), *clutter.edge_masks], field),
+                    identity_link=link,
+                    bound_deletion=sum(
+                        quotient_reg(deletion(clutter, v).edge_masks, field) for v in sigma
+                    )
+                    + d
+                    - 1,
+                    bound_link=link,
+                )
+                assert {k: getattr(report, k) for k in expected} == expected
+
+    # the ideal entry and the mask entry share one cache entry
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(homology, "_oracle_cache", {})
+        table = homology.betti_hochster(edge_ideal(clutter))
+        assert homology.hochster_from_masks(clutter.edge_masks) is table
+        assert list(homology._oracle_cache) == [("hochster", clutter.edge_masks, None)]
 
 
 def test_chordal_reg_bound_preconditions(ctx4):

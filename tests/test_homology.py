@@ -274,6 +274,17 @@ def test_oracle_rejects_zero_and_nonsquarefree(ctx3):
         betti_hochster(ideal(ctx3, "x^2"))
 
 
+def test_field_is_checked_before_the_zero_ideal():
+    zero = MonomialIdeal(VariableContext(("a", "b")), ())
+    assert homology.oracle_quotient_reg_pd(zero) == (0, 0)
+    with pytest.raises(ValueError, match="4 is not prime"):
+        homology.oracle_quotient_reg_pd(zero, 4)
+    with pytest.raises(ValueError, match="4 is not prime"):
+        homology.hochster_from_masks((), 4)
+    with pytest.raises(ZeroIdealError):
+        homology.hochster_from_masks(())
+
+
 def test_oracle_cache_is_bounded(ctx3, monkeypatch):
     from kdecomp import homology
 

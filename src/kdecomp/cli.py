@@ -2,8 +2,10 @@
 
 Subcommands: dual, betti, decompose, invariants, clutter, verify.
 Exit status: 0 success/verified, 1 definitive negative or property
-violation (a counterexample is printed), 2 usage or parse error,
-3 undecided (a search or oracle budget or Python's recursion limit was hit).
+violation (a counterexample is printed), 2 usage or parse error, or
+stdout closed by its reader before all output was written (as `| head -1`
+does on a long output; nothing more is printed then), 3 undecided (a
+search or oracle budget or Python's recursion limit was hit).
 
 Output is deterministic: identical inputs, flags and seeds produce
 byte-identical output, and randomized commands require an explicit seed.
@@ -13,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from random import Random
 
@@ -461,6 +464,21 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    try:
+        status = _run(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout before the output was written, as
+        # `| head -1` does on a long output.  What is left in the buffer
+        # goes to os.devnull, so the interpreter's final flush is quiet.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_USAGE
+    return status
+
+
+def _run(args) -> int:
     try:
         return args.func(args)
     except BudgetExceededError as exc:

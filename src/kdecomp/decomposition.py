@@ -14,9 +14,13 @@ Each node of a search or a check keeps its generators as bits of int
 masks, with two tables filled on first use: I_u is the AND of the masks
 {g : g_i < u_i} over supp(u), and the witness test reads, for each m in
 I_u and i in supp(u), the mask {g : g : m = x_i} against I^u.  The search
-skips a candidate whose support and I_u mask it already tried at the
-node: the split and the verdict would be the same, and both subtrees are
-memoized, so the first winner, the memo keys and the node count do not
+walks the supports depth first along their prefix trie, which visits
+them in lexicographic order, and extends only the distinct nonzero I_u
+masks of each prefix.  So it skips a candidate whose support and I_u
+mask it already tried at the node, where the split and the verdict
+would be the same, and every candidate with an empty I_u, which cannot
+shed; I_u only shrinks as the support grows, so an empty one ends its
+branch.  The first winner, the memo keys and the node count do not
 change.
 
 The complex search and check read the facet masks of the complex, a
@@ -46,7 +50,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
-from itertools import combinations, product
+from itertools import compress, count
 from operator import or_
 
 from .complexes import SimplicialComplex
@@ -88,6 +92,13 @@ class _Node:
         self.below = {}  # (i, e) -> mask of the g with g_i < e
         self.wit = [None] * len(gens)  # j -> [mask of the g with g : gens[j] = x_i]
 
+    def fill(self, b) -> int:
+        """The mask of the g with g_i < e for the pair b = (i, e), stored in
+        `below`; callers look there first."""
+        i, e = b
+        m = self.below[b] = sum([1 << j for j, g in enumerate(self.gens) if g[i] < e])
+        return m
+
     def lower(self, bounds) -> int:
         """The mask of I_u for the pairs (i, u_i) over supp(u): g is in I_u
         when g_i < u_i for all of them, and in I^u otherwise."""
@@ -95,7 +106,7 @@ class _Node:
         for b in bounds:
             m = below.get(b)
             if m is None:
-                m = below[b] = sum([1 << j for j, g in enumerate(self.gens) if g[b[0]] < b[1]])
+                m = self.fill(b)
             lower &= m
         return lower
 
@@ -229,29 +240,47 @@ def _verify_ideal_node(cert: IdealCertificate, ctx, gens, k: int) -> None:
 
 def _shedding_candidates(node: _Node, cap: int):
     """Candidate shedding monomials in deterministic order, each as its
-    support, its bounds (i, u_i) and the mask of its I_u.
+    support, its bounds (i, u_i) and the nonzero mask of its I_u.
 
     For each variable the candidate exponents are exactly the positive
     exponents occurring among the generators, so the space is finite and
     complete up to the threshold semantics of the predicate.  Supports
-    are enumerated in lexicographic order of their sorted index tuple,
-    exponent choices in ascending product order; repeats of a support and
-    I_u already yielded are skipped.
+    come in lexicographic order of their sorted index tuple, which is the
+    depth-first preorder of their prefix trie, and exponent choices in
+    ascending product order.  Each support keeps its distinct nonzero
+    I_u masks with the bounds that first gave them; an extension by a
+    larger variable v ANDs each of them, in that order, with the `below`
+    mask of each exponent of v, ascending.  A repeated mask would only
+    yield masks already yielded, and I_u only shrinks as the support
+    grows, so a support with no nonzero mask has no extension worth
+    trying: `sheds` rejects an empty I_u.  The candidates are those of
+    the full product order, first occurrences only, minus the empty I_u.
+    Nothing is computed ahead of the candidate that needs it.
     """
     n = len(node.gens[0])
-    bounds = [[(i, e) for e in sorted({g[i] for g in node.gens} - {0})] for i in range(n)]
-    variables = [i for i in range(n) if bounds[i]]
-    supports: list[tuple[int, ...]] = []
-    for r in range(1, min(cap, len(variables)) + 1):
-        supports.extend(combinations(variables, r))
-    supports.sort()
-    for supp in supports:
-        tried = set()
-        for choice in product(*(bounds[i] for i in supp)):
-            lower = node.lower(choice)
-            if lower not in tried:
-                tried.add(lower)
-                yield supp, choice, lower
+    exps = [sorted({g[i] for g in node.gens} - {0}) for i in range(n)]
+    variables = [i for i in range(n) if exps[i]]
+    return _extend(node, exps, variables, (), {node.full: ()}, cap)
+
+
+def _extend(node: _Node, exps, variables, supp, partials: dict, room: int):
+    """The candidates of the supports supp + (v, ...) with v in
+    `variables` and at most `room` more variables, from the I_u masks of
+    supp (mask -> bounds, in first-occurrence order)."""
+    below = node.below
+    for at, v in enumerate(variables):
+        s, level = supp + (v,), {}
+        for mask, bounds in partials.items():
+            for e in exps[v]:
+                m = below.get((v, e))
+                if m is None:
+                    m = node.fill((v, e))
+                m &= mask
+                if m and m not in level:
+                    b = level[m] = bounds + ((v, e),)
+                    yield s, b, m
+        if level and room > 1:
+            yield from _extend(node, exps, variables[at + 1 :], s, level, room - 1)
 
 
 class _Budget:
@@ -455,10 +484,12 @@ def transport_certificate(cert: IdealCertificate, vertices) -> ComplexCertificat
     """Map an ideal certificate for the facet-complement ideal back to the
     complex: leaves become facets (complement of the generator support in
     the current vertex set), nodes become shedding faces."""
+    # compress(count(), exps) lists the support of exps without a Python
+    # loop, and the only sets built are the certificate's own fields.
     vertices = frozenset(vertices)
     if isinstance(cert, IdealLeaf):
-        return ComplexLeaf(vertices - cert.generator.support)
-    sigma = frozenset(cert.u.support)
+        return ComplexLeaf(vertices.difference(compress(count(), cert.generator.exponents)))
+    sigma = frozenset(compress(count(), cert.u.exponents))
     return ComplexNode(
         sigma,
         transport_certificate(cert.deletion, vertices),

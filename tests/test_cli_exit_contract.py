@@ -4,13 +4,16 @@ Every subcommand but `verify` is run in-process on well-formed and
 malformed ideal, complex and clutter documents over at most five
 variables.  The status must be 0, 1, 2 or 3 and no exception may
 escape `main`; exit 1 (a negative verdict or a violation) may come only
-from the commands that decide something.
+from the commands that decide something.  A reader that closes stdout
+early gets exit 2 and no traceback.
 """
 
 from __future__ import annotations
 
 import io
 import json
+import os
+import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 
@@ -19,6 +22,7 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
+import kdecomp
 from kdecomp.cli import main
 
 NAMES = "xyzwv"
@@ -116,3 +120,32 @@ def test_cli_exit_status_contract(data):
         code = run_main(argv, text)
         assert code in (0, 1, 2, 3), (argv, code)
         assert code != 1 or may_exit_one(argv), argv
+
+
+def test_reader_closing_stdout_early_gets_exit_two():
+    """`decompose --k 0 < doc | head -1` on (x, y)^300: the certificate
+    text is about 730 kB, far past a pipe's buffer, so the reader closes
+    stdout while the command still writes."""
+    doc = {"kind": "ideal", "vars": ["x", "y"], "gens": [f"x^{a}*y^{300 - a}" for a in range(301)]}
+    src = os.path.dirname(os.path.dirname(kdecomp.__file__))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    env = dict(os.environ, PYTHONPATH=path)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "kdecomp.cli", "decompose", "--k", "0"],
+        stdin=subprocess.PIPE,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    try:
+        proc.stdin.write(json.dumps(doc).encode())
+        proc.stdin.close()
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        assert proc.wait(timeout=60) == 2
+        assert proc.stderr.read() == b""
+        assert first == b"u = x\n"
+    finally:
+        proc.kill()
+        proc.wait()
+        proc.stderr.close()

@@ -12,6 +12,12 @@ no code with the generator-mask routine behind `split`, `matches`,
 same candidate order, memo keys and node budget, but every candidate is
 tested, with no masks and no skipping of repeated splits.
 
+`product_order_candidates` is the candidate enumeration that the prefix
+walk of `_shedding_candidates` replaced: every support in lex order,
+every exponent choice in product order, each I_u mask once per support,
+with I_u computed from its definition.  The walk must yield the same
+sequence minus the empty I_u, and compute nothing ahead of need.
+
 For complexes, `sheds_by_exchange` is the exchange test over all faces
 as frozensets: every face tau containing sigma can trade any v in sigma
 for some w outside tau and stay a face.  `reference_search_complex`
@@ -49,6 +55,7 @@ from kdecomp import (
     verify_complex_certificate,
     verify_ideal_certificate,
 )
+from kdecomp.decomposition import _Node, _shedding_candidates
 
 
 def matches_by_definition(u, m) -> bool:
@@ -115,6 +122,49 @@ def test_shedding_test_matches_definition(ideal):
         assert lower.gens == tuple(g for g in ideal.gens if matches_by_definition(u, g))
         assert all(matches(u, g) == matches_by_definition(u, g) for g in ideal.gens)
         assert is_shedding_monomial(ideal, u) == sheds_by_definition(ideal, u), str(u)
+
+
+def product_order_candidates(gens, cap):
+    """(support, bounds, I_u mask) over all supports of at most cap
+    variables in lex order and all exponent choices in product order,
+    skipping a mask already seen for the same support."""
+    n = len(gens[0])
+    bounds = [[(i, e) for e in sorted({g[i] for g in gens} - {0})] for i in range(n)]
+    variables = [i for i in range(n) if bounds[i]]
+    supports = []
+    for r in range(1, min(cap, len(variables)) + 1):
+        supports.extend(combinations(variables, r))
+    supports.sort()
+    for supp in supports:
+        tried = set()
+        for choice in product(*(bounds[i] for i in supp)):
+            lower = sum(
+                1 << j for j, g in enumerate(gens) if all(g[i] < e for i, e in choice)
+            )
+            if lower not in tried:
+                tried.add(lower)
+                yield supp, choice, lower
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(ideals())
+def test_prefix_walk_matches_product_order(ideal):
+    gens = ideal.exps
+    for cap in range(1, ideal.ctx.n + 1):
+        expected = [c for c in product_order_candidates(gens, cap) if c[2]]
+        assert list(_shedding_candidates(_Node(gens), cap)) == expected, cap
+
+
+def test_prefix_walk_is_lazy():
+    """The first candidate of (x, y)^300 is u = x, whose I_u is (y^300):
+    one `below` mask is computed for it, not the 600 of both variables."""
+    ctx = VariableContext(("x", "y"))
+    power = MonomialIdeal.from_monomials(ctx, [ctx.monomial((a, 300 - a)) for a in range(301)])
+    for cap in (1, 2):
+        node = _Node(power.exps)
+        first = next(_shedding_candidates(node, cap))
+        assert first == ((0,), ((0, 1),), 1 << power.exps.index((0, 300)))
+        assert list(node.below) == [(0, 1)]
 
 
 def reference_candidates(gens, cap):

@@ -35,7 +35,7 @@ from .errors import (
     NotAFaceError,
     VoidComplexError,
 )
-from .monomials import MonomialIdeal, VariableContext, antichain, bits, mask_of, submasks
+from .monomials import MonomialIdeal, VariableContext, antichain, bits, mask_of
 
 VertexSet = frozenset[int]
 
@@ -61,6 +61,33 @@ def _minimal_transversals(sets: Iterable[frozenset]) -> frozenset[frozenset]:
         extended = {c | {v} for c in missed for v in s}
         covers = kept + [e for e in extended if not any(map(e.issuperset, kept))]
     return frozenset(covers)
+
+
+def _face_levels(facet_masks) -> list[list[int]]:
+    """The faces of the complex generated by `facet_masks`, which need not
+    be an antichain, by cardinality, each level sorted by mask; ``[]``
+    (void) when there are no facets.  Level c + 1 extends each face s of
+    level c by a vertex v above its highest one.  s carries the bitset of
+    the facets that hold it, and s | v the AND of that with the facets
+    that hold v; a face survives while its bitset is nonzero."""
+    holders: dict[int, int] = {}
+    for i, f in enumerate(facet_masks):
+        for v in bits(f):
+            holders[1 << v] = holders.get(1 << v, 0) | 1 << i
+    vertices = sorted(holders.items())
+    level = [(0, (1 << len(facet_masks)) - 1)] if facet_masks else []
+    levels = []
+    while level:
+        levels.append([s for s, _ in level])
+        nxt = []  # by top vertex, then by the rest: ascending masks
+        for v, held in vertices:
+            for s, h in level:
+                if s >= v:  # the rest of the level reaches v or above
+                    break
+                if t := h & held:
+                    nxt.append((s | v, t))
+        level = nxt
+    return levels
 
 
 @dataclass(frozen=True)
@@ -128,8 +155,8 @@ class SimplicialComplex:
 
     def faces(self) -> frozenset[VertexSet]:
         """All faces (the empty face included unless the complex is void)."""
-        masks = {s for f in self.facet_masks for s in submasks(f)}
-        return frozenset(frozenset(bits(m)) for m in masks)
+        levels = _face_levels(self.facet_masks)
+        return frozenset(frozenset(bits(m)) for level in levels for m in level)
 
     def __str__(self) -> str:
         """Facets in lex order, then " on" and the vertex set when that is

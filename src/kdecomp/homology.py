@@ -44,8 +44,10 @@ homological index the homology feeds:
 - Hochster: the faces of the nonface complex on the union of the
   generator supports are enumerated once per table, level by level and
   sorted by mask; the complex at a degree a is the faces inside a.
-- Koszul: the subsets of supp(a) that miss some wall, a wall being the
-  set of variables where a generator g <= a reaches a.
+- Koszul: the complex generated by the facets supp(a) - w, one for
+  each wall w, the set of variables where a generator g <= a reaches a
+  (Miller-Sturmfels, Thm. 1.34); its levels come from the facet builder
+  `complexes._face_levels`, which `reduced_homology_dims` shares.
 
 A cone has no reduced homology, so a cone is not ranked.  Each caller
 tests it on masks, where it knows why one can occur:
@@ -76,20 +78,24 @@ from operator import and_, or_
 from threading import Lock
 
 from .betti import BettiTable
-from .complexes import SimplicialComplex, stanley_reisner_ideal
+from .complexes import SimplicialComplex, _face_levels, stanley_reisner_ideal
 from .errors import BudgetExceededError, ZeroIdealError
-from .monomials import MonomialIdeal, bits, submasks
+from .monomials import MonomialIdeal, bits
 
 VERTEX_BUDGET = 20
 LCM_DEGREE_BUDGET = 24
+# the primality test is trial division, so a field is bounded like a search
+FIELD_BOUND = 2**31
 
 
 def check_field(field) -> None:
-    """Raise ValueError unless `field` is None (the rationals) or a prime."""
+    """Raise ValueError unless `field` is None (the rationals) or a prime below FIELD_BOUND."""
     if field is None:
         return
     if not isinstance(field, int) or field < 2:
         raise ValueError("field must be None (rationals) or a prime p")
+    if field >= FIELD_BOUND:
+        raise ValueError(f"field must be a prime below {FIELD_BOUND}, got {field}")
     for d in range(2, int(field**0.5) + 1):
         if field % d == 0:
             raise ValueError(f"{field} is not prime")
@@ -129,15 +135,6 @@ def _rank(rows: list[list[int]], field) -> int:
         if rank == nr:
             break
     return rank
-
-
-def _faces_by_cardinality(face_masks) -> list[list[int]]:
-    by_card: dict[int, list[int]] = {}
-    for mask in face_masks:
-        by_card.setdefault(mask.bit_count(), []).append(mask)
-    if not by_card:
-        return []
-    return [sorted(by_card.get(c, [])) for c in range(max(by_card) + 1)]
 
 
 def _graph_rank(edges: list[int]) -> int:
@@ -254,31 +251,17 @@ def _homology_dims(levels: list[list[int]], field) -> list[int]:
     return [len(levels[c]) - ranks[c] - ranks[c + 1] for c in range(len(levels))]
 
 
-def homology_dims_from_masks(face_masks, field=None) -> list[int]:
-    """Reduced homology dimensions, degree -1 first, from a face-mask set.
-
-    The empty face (mask 0) must be present unless the set is empty
-    (the void complex, which has no homology at all).
-    """
-    levels = _faces_by_cardinality(face_masks)
-    if levels and not levels[0]:
-        raise ValueError("a nonempty face set must hold the empty face")
-    return _homology_dims(levels, field)
-
-
 def reduced_homology_dims(delta: SimplicialComplex, field=None) -> list[int]:
     """Reduced simplicial homology dimensions of `delta`, degree -1 first."""
     check_field(field)
     size = delta.vertex_mask.bit_count()
     if size > VERTEX_BUDGET:
         raise BudgetExceededError(f"homology budget is {VERTEX_BUDGET} vertices, got {size}")
-    if delta.is_void:
-        return []
+    facets = delta.facet_masks
     # a vertex in every facet is a cone point: all reduced homology vanishes
-    if reduce(and_, delta.facet_masks):
-        return [0] * (max(f.bit_count() for f in delta.facet_masks) + 1)
-    masks = {s for f in delta.facet_masks for s in submasks(f)}
-    return homology_dims_from_masks(masks, field)
+    if facets and reduce(and_, facets):
+        return [0] * (max(f.bit_count() for f in facets) + 1)
+    return _homology_dims(_face_levels(facets), field)
 
 
 ORACLE_CACHE_SIZE = 4096
@@ -393,9 +376,7 @@ def _oracle_table(gens: tuple, field, route: str) -> BettiTable:
             # every face; either way a cone, with no reduced homology.
             if not walls or 0 in walls or reduce(or_, walls) != supp:
                 continue
-            sub = _faces_by_cardinality(
-                s for s in submasks(supp) if any(not w & s for w in walls)
-            )
+            sub = _face_levels([supp & ~w for w in walls])
         for c, h in enumerate(_homology_dims(sub, field)):
             i = j - c - 1 if hochster else c
             if h and i >= 0:

@@ -131,14 +131,6 @@ def bits(mask: int) -> list[int]:
     return [v for v in range(mask.bit_length()) if mask >> v & 1]
 
 
-def submasks(mask: int) -> list[int]:
-    """Every mask inside `mask`, itself first and 0 last."""
-    subs = [mask]
-    while subs[-1]:
-        subs.append((subs[-1] - 1) & mask)
-    return subs
-
-
 def antichain(masks: Iterable[int], minimal: bool = False) -> tuple[int, ...]:
     """The inclusion-maximal int masks of `masks`, or the inclusion-minimal
     ones when `minimal` is set, sorted ascending; duplicates count once.

@@ -3,7 +3,9 @@ from __future__ import annotations
 import json
 import sys
 import threading
+import time
 from itertools import combinations
+from math import comb
 from random import Random
 
 import pytest
@@ -25,8 +27,9 @@ from kdecomp import (
 from kdecomp import homology
 from kdecomp.cli import main
 from kdecomp.generators import random_complex, random_monomial_ideal, random_squarefree_ideal
-from kdecomp.homology import _rank, homology_dims_from_masks
-from kdecomp.monomials import MonomialIdeal, bits, submasks
+from kdecomp.complexes import _face_levels
+from kdecomp.homology import _homology_dims, _rank
+from kdecomp.monomials import MonomialIdeal, bits
 
 from conftest import ideal
 
@@ -285,6 +288,20 @@ def test_field_is_checked_before_the_zero_ideal():
         homology.hochster_from_masks(())
 
 
+def test_field_is_bounded(tmp_path, capsys):
+    # trial division up to the square root would not finish for a prime
+    # near 2**61, so the check refuses it before testing
+    homology.check_field(2**31 - 1)
+    with pytest.raises(ValueError, match="below 2147483648"):
+        homology.check_field(2**61 - 1)
+    path = tmp_path / "xy.json"
+    path.write_text(json.dumps({"kind": "ideal", "vars": ["x", "y"], "gens": ["x*y"]}))
+    start = time.perf_counter()
+    assert main(["invariants", str(path), "--field", "1000000000000000003"]) == 2
+    assert time.perf_counter() - start < 5
+    assert "error: field must be" in capsys.readouterr().err
+
+
 def test_oracle_cache_is_bounded(ctx3, monkeypatch):
     from kdecomp import homology
 
@@ -328,14 +345,6 @@ def test_koszul_budget(ctx3):
         betti_koszul(ideal(ctx3, "x^25"))
 
 
-def test_void_masks():
-    assert homology_dims_from_masks([]) == []
-    assert homology_dims_from_masks([0]) == [1]  # the complex {{}}
-    # a nonempty face set with no empty face is no complex
-    with pytest.raises(ValueError):
-        homology_dims_from_masks([1])
-
-
 def dense_homology_dims(face_masks, field):
     """Reduced homology dimensions from the full dense boundary matrix of
     every level, each ranked by `_rank`: no cone short-cut, no closed
@@ -358,19 +367,42 @@ def dense_homology_dims(face_masks, field):
     return [len(levels[c]) - ranks[c] - ranks[c + 1] for c in range(len(levels))]
 
 
+def submasks(mask):
+    """Every mask inside `mask`, itself first and 0 last."""
+    subs = [mask]
+    while subs[-1]:
+        subs.append((subs[-1] - 1) & mask)
+    return subs
+
+
 def closure(facets):
     return sorted({s for f in facets for s in submasks(f)})
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(st.lists(st.integers(0, 2**9 - 1), max_size=7))
+@example([])  # void
+@example([0])  # {{}}
+@example([0b1011, 0b1011, 0b100])  # a duplicate facet
+@example([0b111, 0b11, 0b1, 0b11000, 0b10000])  # nested facets
+def test_face_levels_group_the_closure(facets):
+    levels: list[list[int]] = []
+    for s in closure(facets):  # ascending, and down-closed: every size occurs
+        if s.bit_count() == len(levels):
+            levels.append([])
+        levels[s.bit_count()].append(s)
+    assert _face_levels(facets) == levels
 
 
 RP2_MASKS = [sum(1 << v for v in f) for f in RP2_FACETS]
 
 
 @st.composite
-def face_sets(draw):
-    """Downward-closed face-mask sets on up to 8 vertices.  About half of
-    those on 6 or more vertices contain a relabelled real projective
-    plane and a few more triangles: its 2-torsion leaves boundary columns
-    with no unit entry over Q."""
+def facet_lists(draw):
+    """Facet-mask lists on up to 8 vertices, not always antichains.  About
+    half of those on 6 or more vertices contain a relabelled real
+    projective plane and a few more triangles: its 2-torsion leaves
+    boundary columns with no unit entry over Q."""
     n = draw(st.integers(0, 8))
     facets = draw(st.lists(st.integers(0, 2**n - 1), max_size=6))  # [] is void
     if n >= 6 and draw(st.booleans()):
@@ -378,21 +410,22 @@ def face_sets(draw):
         facets += [sum(1 << perm[v] for v in range(6) if f >> v & 1) for f in RP2_MASKS]
         triangles = st.sets(st.integers(0, n - 1), min_size=3, max_size=3)
         facets += [sum(1 << v for v in t) for t in draw(st.lists(triangles, max_size=3))]
-    return closure(facets)
+    return facets
 
 
 @settings(max_examples=300, derandomize=True, database=None, deadline=None)
-@given(face_sets())
+@given(facet_lists())
 @example([])
 @example([0])
-@example(closure([1, 2, 4, 8]))  # four isolated vertices
-@example(closure([0b11, 0b110, 0b11000, 0b1100000, 0b10000000]))  # three components
-@example(closure(RP2_MASKS))
+@example([1, 2, 4, 8])  # four isolated vertices
+@example([0b11, 0b110, 0b11000, 0b1100000, 0b10000000])  # three components
+@example(RP2_MASKS)
 # the triangle {3,4,5} gets a pivot row that a set-aside RP^2 column holds
-@example(closure(RP2_MASKS + [0b111000]))
-def test_homology_dims_match_dense_ranks(faces):
+@example(RP2_MASKS + [0b111000])
+def test_homology_dims_match_dense_ranks(facets):
     for field in (None, 2, 3):
-        assert homology_dims_from_masks(faces, field) == dense_homology_dims(faces, field)
+        dims = _homology_dims(_face_levels(facets), field)
+        assert dims == dense_homology_dims(closure(facets), field)
 
 
 def cone_over(facets, apex):
@@ -429,12 +462,13 @@ def test_rp2_remainder_reaches_rank_over_q_only(monkeypatch):
         return _rank(rows, field)
 
     monkeypatch.setattr(homology, "_rank", counting_rank)
-    faces = closure(RP2_MASKS)
+    levels = _face_levels(RP2_MASKS)
     # reduced H_1 and H_2 (entries 2 and 3) vanish over Q and not over GF(2)
-    assert homology_dims_from_masks(faces) == [0, 0, 0, 0]
+    dims = _homology_dims(levels, None)
+    assert dims == [0, 0, 0, 0] == dense_homology_dims(closure(RP2_MASKS), None)
     assert calls == [None]
     calls.clear()
-    assert homology_dims_from_masks(faces, 2) == [0, 0, 1, 1]
+    assert _homology_dims(levels, 2) == [0, 0, 1, 1]
     assert calls == []
 
 
@@ -461,3 +495,12 @@ def test_twelve_cycle_edge_ideal():
         ((3, 6), 42), ((3, 7), 120), ((3, 8), 3), ((4, 8), 120), ((4, 9), 12),
         ((5, 9), 40), ((5, 10), 18), ((6, 11), 12), ((7, 12), 2),
     ]
+
+
+def test_koszul_complete_intersection_of_squares():
+    # x0^2, ..., x11^2: the Koszul complex, beta_i = C(12, i + 1) in degree 2i + 2
+    ctx = VariableContext(tuple(f"x{i}" for i in range(12)))
+    squares = ideal(ctx, *(f"x{i}^2" for i in range(12)))
+    assert dict(betti_koszul(squares).items()) == {
+        (i, 2 * i + 2): comb(12, i + 1) for i in range(12)
+    }

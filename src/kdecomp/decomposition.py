@@ -5,7 +5,9 @@ names a shedding monomial u and splits the generators into the part some
 power of u divides (the "deletion" side I^u) and the untouched part (the
 "link" side I_u).  For complexes each inner node names a shedding face.
 Certificates can be re-verified independently of the search that found
-them.
+them.  One walker, `_fold`, visits every certificate from an explicit
+stack, so any depth works: a node, its deletion subtree, then its link
+subtree.  The verifiers are its checks; derivations fold in that walk.
 
 Inputs are validated once, by the public functions.  Below them the
 split, the shedding test, the search and the certificate check run on
@@ -181,14 +183,34 @@ class IdealNode:
 IdealCertificate = IdealLeaf | IdealNode
 
 
-def certificate_generators(cert: IdealCertificate) -> list[Monomial]:
-    if isinstance(cert, IdealLeaf):
-        if not isinstance(cert.generator, Monomial):
-            raise InvalidCertificateError(f"{cert.generator!r} is not a monomial")
-        return [cert.generator]
-    if not isinstance(cert, IdealNode):
-        raise InvalidCertificateError(f"{cert!r} is not a certificate node")
-    return certificate_generators(cert.deletion) + certificate_generators(cert.link)
+def _fold(cert, inner, leaf, join, split=lambda c, s: (s, s), state=()):
+    """Post-order fold (see the module docstring): an `inner` node c gives its
+    subtrees the states `split(c, s)` and is valued `join(c, deletion value,
+    link value)`, anything else `leaf(c, s)`.  None, never a state, marks a join."""
+    values, stack = [], [(cert, state)]
+    while stack:
+        c, s = stack.pop()
+        if s is None:
+            link = values.pop()
+            values[-1] = join(c, values[-1], link)
+        elif isinstance(c, inner):
+            down, right = split(c, s)
+            stack += ((c, None), (c.link, right), (c.deletion, down))
+        else:
+            values.append(leaf(c, s))
+    return values[0]
+
+
+def _leaf_generators(c, _) -> list[Monomial]:
+    if not isinstance(c, IdealLeaf):
+        raise InvalidCertificateError(f"{c!r} is not a certificate node")
+    if not isinstance(c.generator, Monomial):
+        raise InvalidCertificateError(f"{c.generator!r} is not a monomial")
+    return [c.generator]
+
+
+def _nothing(*_) -> None:
+    return None
 
 
 def verify_ideal_certificate(
@@ -199,8 +221,13 @@ def verify_ideal_certificate(
     Raises InvalidCertificateError when any shedding claim, split or the
     support bound fails.
     """
+    return _verified_ideal_fold(cert, _nothing, _nothing, k, expected)[0]
+
+
+def _verified_ideal_fold(cert, leaf, join, k=-1, expected=None):
+    """The root ideal, and `leaf` and `join` folded in the walk verifying `cert`."""
     _check_k(k)
-    leaves = certificate_generators(cert)
+    leaves = _fold(cert, IdealNode, _leaf_generators, lambda c, d, l: d + l)
     ctx = leaves[0].ctx
     try:
         ideal = MonomialIdeal.from_monomials(ctx, leaves)
@@ -210,32 +237,29 @@ def verify_ideal_certificate(
         raise InvalidCertificateError("certificate leaves are not a minimal set")
     if expected is not None and ideal != expected:
         raise InvalidCertificateError("certificate does not describe this ideal")
-    _verify_ideal_node(cert, ctx, ideal.exps, k)
-    return ideal
 
-
-def _verify_ideal_node(cert: IdealCertificate, ctx, gens, k: int) -> None:
-    """Each subtree is handed its half of the split and each leaf must be
-    the one generator left, so leaves that are not their half fail."""
-    if isinstance(cert, IdealLeaf):
-        if gens != (cert.generator.exponents,):
+    def check_leaf(c, gens):
+        if gens != (c.generator.exponents,):  # the one generator its split leaves
             raise InvalidCertificateError("leaf does not match its ideal")
-        return
-    u = cert.u
-    if not isinstance(u, Monomial):
-        raise InvalidCertificateError(f"{u!r} is not a monomial")
-    if u.ctx != ctx:
-        raise InvalidCertificateError(f"{u} lives in a different context")
-    if k >= 0 and len(u.support) > k + 1:
-        raise InvalidCertificateError(
-            f"|supp(u)| = {len(u.support)} exceeds k + 1 = {k + 1}"
-        )
-    node = _Node(gens)
-    support, lower = node.split(u.exponents)
-    if not node.sheds(support, lower):
-        raise InvalidCertificateError(f"{u} is not a shedding monomial here")
-    _verify_ideal_node(cert.deletion, ctx, node.pick(node.full ^ lower), k)
-    _verify_ideal_node(cert.link, ctx, node.pick(lower), k)
+        return leaf(c, gens)
+
+    def check_split(c, gens):
+        u = c.u
+        if not isinstance(u, Monomial):
+            raise InvalidCertificateError(f"{u!r} is not a monomial")
+        if u.ctx != ctx:
+            raise InvalidCertificateError(f"{u} lives in a different context")
+        if k >= 0 and len(u.support) > k + 1:
+            raise InvalidCertificateError(
+                f"|supp(u)| = {len(u.support)} exceeds k + 1 = {k + 1}"
+            )
+        node = _Node(gens)
+        support, lower = node.split(u.exponents)
+        if not node.sheds(support, lower):
+            raise InvalidCertificateError(f"{u} is not a shedding monomial here")
+        return node.pick(node.full ^ lower), node.pick(lower)
+
+    return ideal, _fold(cert, IdealNode, check_leaf, join, check_split, ideal.exps)
 
 
 def _shedding_candidates(node: _Node, cap: int):
@@ -343,12 +367,12 @@ def _search_ideal(ctx, gens, k, memo, budget) -> IdealCertificate | None:
     return result
 
 
-def _exchange_masks(facets) -> dict[int, int]:
-    """Each facet f mapped to the mask of the v in f such that f - v lies in
-    another facet g: facets form an antichain, so f & ~g is empty only for
-    g = f, and g holds f - v exactly when f & ~g is {v}."""
+def _exchange_masks(holders, facets) -> dict[int, int]:
+    """Each facet f in `holders` mapped to the mask of the v in f such that
+    f - v lies in another facet g: facets form an antichain, so f & ~g is
+    empty only for g = f, and g holds f - v exactly when f & ~g is {v}."""
     ex = {}
-    for f in facets:
+    for f in holders:
         x = 0
         for g in facets:
             d = f & ~g
@@ -373,7 +397,7 @@ def is_shedding_face(delta: SimplicialComplex, sigma) -> bool:
     holders = [f for f in facets if f & s == s]
     if not holders:
         raise NotAFaceError(f"{bits(s)} is not a face")
-    return _sheds(s, holders, _exchange_masks(facets))
+    return _sheds(s, holders, _exchange_masks(holders, facets))
 
 
 @dataclass(frozen=True)
@@ -397,8 +421,7 @@ def verify_complex_certificate(
     delta: SimplicialComplex, cert: ComplexCertificate, k: int = -1
 ) -> None:
     """Re-check a complex certificate against `delta`; raises on failure."""
-    _check_k(k)
-    _verify_complex_node(cert, delta.facet_masks, k, delta.ctx.n)
+    _verified_complex_fold(delta, cert, _nothing, _nothing, k)
 
 
 def _vertex_mask(face, n: int) -> int:
@@ -409,31 +432,41 @@ def _vertex_mask(face, n: int) -> int:
     return mask_of(face)
 
 
-def _verify_complex_node(cert, facets: tuple[int, ...], k: int, n: int) -> None:
-    if isinstance(cert, ComplexLeaf):
-        if cert.facet is None:
-            if facets:
+def _verified_complex_fold(delta, cert, leaf, join, k=-1):
+    """`leaf` and `join` folded in the walk verifying `cert`; states are
+    (facet masks, ambient vertex mask), and a link drops sigma from both."""
+    _check_k(k)
+    n = delta.ctx.n
+
+    def check_leaf(c, state):
+        if not isinstance(c, ComplexLeaf):
+            raise InvalidCertificateError(f"{c!r} is not a certificate node")
+        if c.facet is None:
+            if state[0]:
                 raise InvalidCertificateError("void leaf for a non-void complex")
-        elif facets != (_vertex_mask(cert.facet, n),):
+        elif state[0] != (_vertex_mask(c.facet, n),):
             raise InvalidCertificateError("leaf facet does not match the complex")
-        return
-    if not isinstance(cert, ComplexNode):
-        raise InvalidCertificateError(f"{cert!r} is not a certificate node")
-    sigma = _vertex_mask(cert.sigma, n)
-    if not sigma:
-        raise InvalidCertificateError("empty shedding face in certificate")
-    if k >= 0 and sigma.bit_count() > k + 1:
-        raise InvalidCertificateError(
-            f"dim(sigma) = {sigma.bit_count() - 1} exceeds k = {k}"
-        )
-    holders = [f for f in facets if f & sigma == sigma]
-    if not holders:
-        raise InvalidCertificateError(f"{sorted(cert.sigma)} is not a face")
-    if not _sheds(sigma, holders, _exchange_masks(facets)):
-        raise InvalidCertificateError(f"{sorted(cert.sigma)} is not a shedding face")
-    deletion = tuple([f for f in facets if f & sigma != sigma])
-    _verify_complex_node(cert.deletion, deletion, k, n)
-    _verify_complex_node(cert.link, tuple([f ^ sigma for f in holders]), k, n)
+        return leaf(c, state)
+
+    def check_split(c, state):
+        facets, ambient = state
+        sigma = _vertex_mask(c.sigma, n)
+        if not sigma:
+            raise InvalidCertificateError("empty shedding face in certificate")
+        if k >= 0 and sigma.bit_count() > k + 1:
+            raise InvalidCertificateError(
+                f"dim(sigma) = {sigma.bit_count() - 1} exceeds k = {k}"
+            )
+        holders = [f for f in facets if f & sigma == sigma]
+        if not holders:
+            raise InvalidCertificateError(f"{sorted(c.sigma)} is not a face")
+        if not _sheds(sigma, holders, _exchange_masks(holders, facets)):
+            raise InvalidCertificateError(f"{sorted(c.sigma)} is not a shedding face")
+        deletion = tuple([f for f in facets if f & sigma != sigma])
+        return (deletion, ambient), (tuple([f ^ sigma for f in holders]), ambient & ~sigma)
+
+    state = (delta.facet_masks, delta.vertex_mask)
+    return _fold(cert, ComplexNode, check_leaf, join, check_split, state)
 
 
 def k_decomposable_complex(
@@ -484,16 +517,13 @@ def transport_certificate(cert: IdealCertificate, vertices) -> ComplexCertificat
     """Map an ideal certificate for the facet-complement ideal back to the
     complex: leaves become facets (complement of the generator support in
     the current vertex set), nodes become shedding faces."""
-    # compress(count(), exps) lists the support of exps without a Python
-    # loop, and the only sets built are the certificate's own fields.
-    vertices = frozenset(vertices)
-    if isinstance(cert, IdealLeaf):
-        return ComplexLeaf(vertices.difference(compress(count(), cert.generator.exponents)))
-    sigma = frozenset(compress(count(), cert.u.exponents))
-    return ComplexNode(
-        sigma,
-        transport_certificate(cert.deletion, vertices),
-        transport_certificate(cert.link, vertices - sigma),
+    # compress(count(), exps) lists the support of exps without a Python loop
+    return _fold(
+        cert, IdealNode,
+        lambda c, v: ComplexLeaf(v.difference(compress(count(), c.generator.exponents))),
+        lambda c, d, l: ComplexNode(frozenset(compress(count(), c.u.exponents)), d, l),
+        lambda c, v: (v, v.difference(compress(count(), c.u.exponents))),
+        frozenset(vertices),
     )
 
 
@@ -523,7 +553,7 @@ def _search_complex(facets, k, memo, budget) -> ComplexCertificate | None:
     budget.spend()
     vertices = bits(reduce(or_, facets))
     cap = len(vertices) if k < 0 else k + 1
-    ex = _exchange_masks(facets)
+    ex = _exchange_masks(facets, facets)
     result = None
     for sigma, holders in _faces_in_order(facets, vertices, cap):
         if not _sheds(sigma, holders, ex):

@@ -13,12 +13,7 @@ from dataclasses import dataclass
 
 from .clutters import Clutter, MinorStep
 from .complexes import SimplicialComplex
-from .decomposition import (
-    ComplexCertificate,
-    ComplexLeaf,
-    IdealCertificate,
-    IdealLeaf,
-)
+from .decomposition import ComplexCertificate, ComplexNode, IdealCertificate, IdealNode, _fold
 from .errors import DocumentError
 from .monomials import Monomial, MonomialIdeal, VariableContext
 
@@ -163,26 +158,19 @@ def emit_object(value) -> dict:
 
 
 def ideal_certificate_object(cert: IdealCertificate) -> dict:
-    if isinstance(cert, IdealLeaf):
-        return {"kind": "leaf", "generator": str(cert.generator)}
-    return {
-        "kind": "node",
-        "u": str(cert.u),
-        "deletion": ideal_certificate_object(cert.deletion),
-        "link": ideal_certificate_object(cert.link),
-    }
+    return _fold(
+        cert, IdealNode, lambda c, _: {"kind": "leaf", "generator": str(c.generator)},
+        lambda c, d, l: {"kind": "node", "u": str(c.u), "deletion": d, "link": l},
+    )
 
 
 def complex_certificate_object(cert: ComplexCertificate, ctx: VariableContext) -> dict:
-    if isinstance(cert, ComplexLeaf):
-        facet = None if cert.facet is None else ctx.set_names(cert.facet)
-        return {"kind": "leaf", "facet": facet}
-    return {
-        "kind": "node",
-        "sigma": ctx.set_names(cert.sigma),
-        "deletion": complex_certificate_object(cert.deletion, ctx),
-        "link": complex_certificate_object(cert.link, ctx),
-    }
+    names = ctx.set_names
+    return _fold(
+        cert, ComplexNode,
+        lambda c, _: {"kind": "leaf", "facet": None if c.facet is None else names(c.facet)},
+        lambda c, d, l: {"kind": "node", "sigma": names(c.sigma), "deletion": d, "link": l},
+    )
 
 
 def certificate_text(obj: dict, indent: int = 0) -> str:

@@ -88,15 +88,20 @@ LCM_DEGREE_BUDGET = 24
 FIELD_BOUND = 2**31
 
 
-def check_field(field) -> None:
-    """Raise ValueError unless `field` is None (the rationals) or a prime below FIELD_BOUND."""
+def _check_field_range(field) -> None:
+    """`check_field` without trial division, run before lookups: 2.0 would find GF(2) tables."""
     if field is None:
         return
     if not isinstance(field, int) or field < 2:
         raise ValueError("field must be None (rationals) or a prime p")
     if field >= FIELD_BOUND:
         raise ValueError(f"field must be a prime below {FIELD_BOUND}, got {field}")
-    for d in range(2, int(field**0.5) + 1):
+
+
+def check_field(field) -> None:
+    """Raise ValueError unless `field` is None (the rationals) or a prime below FIELD_BOUND."""
+    _check_field_range(field)
+    for d in range(2, int(field**0.5) + 1 if field else 0):
         if field % d == 0:
             raise ValueError(f"{field} is not prime")
 
@@ -326,13 +331,14 @@ def _oracle_table(gens: tuple, field, route: str) -> BettiTable:
     unions of generator supports.  "box" scans every a below the
     generator lcm instead.
     """
-    check_field(field)
-    if not gens:
-        raise ZeroIdealError("Betti numbers need a nonzero ideal")
+    _check_field_range(field)
     key = (route, gens, field)
     cached = _oracle_cache.get(key)
     if cached is not None:
         return cached
+    check_field(field)
+    if not gens:
+        raise ZeroIdealError("Betti numbers need a nonzero ideal")
 
     hochster = route == "hochster"
     if hochster:

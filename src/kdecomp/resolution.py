@@ -17,12 +17,7 @@ from dataclasses import dataclass
 from .betti import BettiTable, binom
 from .complexes import SimplicialComplex, alexander_dual_ideal
 from .decomposition import (
-    ComplexCertificate,
-    ComplexLeaf,
-    IdealCertificate,
-    IdealLeaf,
-    verify_complex_certificate,
-    verify_ideal_certificate,
+    ComplexCertificate, IdealCertificate, _verified_complex_fold, _verified_ideal_fold
 )
 from .errors import InvalidCertificateError, ZeroIdealError
 from .homology import betti_hochster
@@ -102,27 +97,21 @@ def order_from_certificate(cert: IdealCertificate) -> QuotientOrder:
     part; on the link part the colon set is the disjoint union of the
     shedding support with the set from the sub-ideal.
     """
-    verify_ideal_certificate(cert)
-    order, sets = _order_rec(cert)
+    order, sets = _verified_ideal_fold(
+        cert, lambda c, _: ([c.generator], [frozenset()]), _order_join
+    )[1]
     result = QuotientOrder(tuple(order), tuple(sets))
     result.verify()
     return result
 
 
-def _order_rec(cert: IdealCertificate):
-    if isinstance(cert, IdealLeaf):
-        return [cert.generator], [frozenset()]
-    del_order, del_sets = _order_rec(cert.deletion)
-    link_order, link_sets = _order_rec(cert.link)
-    supp = frozenset(cert.u.support)
-    merged_sets = []
-    for s in link_sets:
-        if s & supp:
-            raise InvalidCertificateError(
-                "shedding support meets a link colon set; certificate is broken"
-            )
-        merged_sets.append(s | supp)
-    return del_order + link_order, del_sets + merged_sets
+def _order_join(node, deletion, link):
+    supp = frozenset(node.u.support)
+    if any(s & supp for s in link[1]):
+        raise InvalidCertificateError(
+            "shedding support meets a link colon set; certificate is broken"
+        )
+    return deletion[0] + link[0], deletion[1] + [s | supp for s in link[1]]
 
 
 def betti_from_order(ideal: MonomialIdeal, order: QuotientOrder) -> BettiTable:
@@ -139,16 +128,12 @@ def betti_from_order(ideal: MonomialIdeal, order: QuotientOrder) -> BettiTable:
 def betti_recursive(cert: IdealCertificate) -> BettiTable:
     """Betti table by the shedding recursion
     beta(I) = beta(I^u) + sum_l C(m, l) * beta(I_u) shifted by (l, l)."""
-    verify_ideal_certificate(cert)
-    return BettiTable(_betti_rec(cert))
+    table = _verified_ideal_fold(cert, lambda c, _: {(0, c.generator.degree): 1}, _betti_join)
+    return BettiTable(table[1])
 
 
-def _betti_rec(cert: IdealCertificate) -> dict[tuple[int, int], int]:
-    if isinstance(cert, IdealLeaf):
-        return {(0, cert.generator.degree): 1}
-    out = dict(_betti_rec(cert.deletion))
-    lower = _betti_rec(cert.link)
-    m = len(cert.u.support)
+def _betti_join(node, out, lower) -> dict[tuple[int, int], int]:
+    m = len(node.u.support)
     for l in range(m + 1):
         c = binom(m, l)
         for (i, j), count in lower.items():
@@ -160,17 +145,10 @@ def _betti_rec(cert: IdealCertificate) -> dict[tuple[int, int], int]:
 def pd_reg_from_certificate(cert: IdealCertificate) -> tuple[int, int]:
     """(pd I, reg I): pd = max(pd I^u, pd I_u + |supp u|), reg = max of regs;
     a leaf has pd 0 and reg its degree."""
-    verify_ideal_certificate(cert)
-    return _pd_reg_rec(cert)
-
-
-def _pd_reg_rec(cert: IdealCertificate) -> tuple[int, int]:
-    if isinstance(cert, IdealLeaf):
-        return 0, cert.generator.degree
-    pd_u, reg_u = _pd_reg_rec(cert.deletion)
-    pd_l, reg_l = _pd_reg_rec(cert.link)
-    m = len(cert.u.support)
-    return max(pd_u, pd_l + m), max(reg_u, reg_l)
+    return _verified_ideal_fold(
+        cert, lambda c, _: (0, c.generator.degree),
+        lambda c, d, l: (max(d[0], l[0] + len(c.u.support)), max(d[1], l[1])),
+    )[1]
 
 
 def reg_pd_complex(
@@ -184,19 +162,17 @@ def reg_pd_complex(
     Base case: a simplex leaf missing s ambient vertices has the
     variable-generated nonface ideal, so reg 0 and pd s.
     """
-    verify_complex_certificate(delta, cert)
-    return _reg_pd_rec(delta.vertices, cert)
+    return _verified_complex_fold(
+        delta, cert, _reg_pd_leaf,
+        lambda c, d, l: (max(d[0], l[0] + len(c.sigma)), max(d[1], l[1])),
+    )
 
 
-def _reg_pd_rec(ambient: frozenset[int], cert) -> tuple[int, int]:
-    if isinstance(cert, ComplexLeaf):
-        if cert.facet is None:
-            raise InvalidCertificateError("the void complex has no nonface ideal")
-        return 0, len(ambient - cert.facet)
-    sigma = cert.sigma
-    reg_d, pd_d = _reg_pd_rec(ambient, cert.deletion)
-    reg_l, pd_l = _reg_pd_rec(ambient - sigma, cert.link)
-    return max(reg_d, reg_l + len(sigma)), max(pd_d, pd_l)
+def _reg_pd_leaf(leaf, state) -> tuple[int, int]:
+    if leaf.facet is None:
+        raise InvalidCertificateError("the void complex has no nonface ideal")
+    facets, ambient = state  # verified, so facets is (the leaf's facet,)
+    return 0, (ambient & ~facets[0]).bit_count()
 
 
 def terao_check(ideal: MonomialIdeal, field=None) -> bool:

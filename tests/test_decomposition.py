@@ -250,12 +250,17 @@ def test_invalid_certificate_rejected(ctx3):
         IdealNode("x", deletion, yz),
         IdealNode(mono(ctx3, "x"), deletion, IdealLeaf("y*z")),
     ]
+    # each derivation verifies in the walk that derives, and must fail with
+    # the verifier's own message: the walk visits nodes in the same order
     for cert in bogus:
         with pytest.raises(InvalidCertificateError):
             verify_ideal_certificate(cert, -1, i)
+        with pytest.raises(InvalidCertificateError) as verified:
+            verify_ideal_certificate(cert)
         for derive in (order_from_certificate, betti_recursive, pd_reg_from_certificate):
-            with pytest.raises(InvalidCertificateError):
+            with pytest.raises(InvalidCertificateError) as derived:
                 derive(cert)
+            assert str(derived.value) == str(verified.value)
 
     from kdecomp import reg_pd_complex
 
@@ -282,8 +287,17 @@ def test_invalid_certificate_rejected(ctx3):
     for cert in bogus_complex:
         with pytest.raises(InvalidCertificateError):
             verify_complex_certificate(tri, cert, 0)
-        with pytest.raises(InvalidCertificateError):
+        with pytest.raises(InvalidCertificateError) as verified:
+            verify_complex_certificate(tri, cert)
+        with pytest.raises(InvalidCertificateError) as derived:
             reg_pd_complex(tri, cert)
+        assert str(derived.value) == str(verified.value)
+    # faults on both sides of the root: the deletion side is checked first
+    link = ComplexNode(frozenset(), good.link.deletion, good.link.link)
+    both = ComplexNode(good.sigma, ComplexLeaf(frozenset({0, 1, 2})), link)
+    for check in (verify_complex_certificate, reg_pd_complex):
+        with pytest.raises(InvalidCertificateError, match="^leaf facet does not match"):
+            check(tri, both)
 
 
 def test_budget_raises(ctx4):
@@ -306,3 +320,47 @@ def test_shared_memo_keeps_contexts_apart():
         cert = k_decomposable_ideal(j, 0, memo)
         assert verify_ideal_certificate(cert, 0, j) == j
     assert len(memo) == 4  # one entry per searched node in each context
+
+
+def test_certificates_of_any_depth():
+    """Every certificate function walks a 400-level certificate under a
+    recursion limit of 150: no walker recurses once per level."""
+    import sys
+
+    from kdecomp import (
+        BettiTable,
+        betti_recursive,
+        order_from_certificate,
+        pd_reg_from_certificate,
+        reg_pd_complex,
+        transport_certificate,
+    )
+    from kdecomp.documents import ideal_certificate_object
+
+    n = 400
+    ctx = VariableContext.of("x", "y")
+    # (x, y)^400: x^a sheds x^a, ..., x^400 from x^(a-1) * y^(401-a)
+    cert = IdealLeaf(ctx.monomial((n, 0)))
+    for a in range(n, 0, -1):
+        cert = IdealNode(ctx.monomial((a, 0)), cert, IdealLeaf(ctx.monomial((a - 1, n + 1 - a))))
+    power = MonomialIdeal.from_monomials(ctx, [ctx.monomial((a, n - a)) for a in range(n + 1)])
+    # n + 1 isolated points: each {v} sheds, leaving the rest and {{}}
+    points = VariableContext(tuple(f"v{i}" for i in range(n + 1)))
+    delta = SimplicialComplex.from_facets(points, [[v] for v in range(n + 1)])
+    chain = ComplexLeaf(frozenset({n}))
+    for v in range(n - 1, -1, -1):
+        chain = ComplexNode(frozenset({v}), chain, ComplexLeaf(frozenset()))
+
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(150)
+    try:
+        assert verify_ideal_certificate(cert, 0, power) == power
+        assert pd_reg_from_certificate(cert) == (1, n)
+        assert betti_recursive(cert) == BettiTable({(0, n): n + 1, (1, n + 1): n})
+        assert len(order_from_certificate(cert).order) == n + 1
+        verify_complex_certificate(delta, chain, 0)
+        assert reg_pd_complex(delta, chain) == (1, n)
+        assert isinstance(transport_certificate(cert, range(2)), ComplexNode)
+        assert ideal_certificate_object(cert)["u"] == "x"
+    finally:
+        sys.setrecursionlimit(limit)

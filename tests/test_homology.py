@@ -302,6 +302,23 @@ def test_field_is_bounded(tmp_path, capsys):
     assert "error: field must be" in capsys.readouterr().err
 
 
+def test_cached_table_skips_trial_division(monkeypatch):
+    # trial division to sqrt(2**31 - 1) takes milliseconds, so a cache hit
+    # must not pay for it; the cheap checks still run before the lookup,
+    # where 2.0 == 2 would otherwise find the GF(2) table
+    ctx = VariableContext.of("a", "b", "c")
+    i = ideal(ctx, "a*b", "b*c")
+    check, fields = homology.check_field, []
+    monkeypatch.setattr(homology, "check_field", lambda f: (fields.append(f), check(f))[1])
+    table = betti_hochster(i, 2**31 - 1)
+    checked = len(fields)
+    assert betti_hochster(i, 2**31 - 1) == table
+    assert len(fields) == checked
+    betti_hochster(i, 2)
+    with pytest.raises(ValueError):
+        betti_hochster(i, 2.0)
+
+
 def test_oracle_cache_is_bounded(ctx3, monkeypatch):
     from kdecomp import homology
 

@@ -13,17 +13,21 @@ Inputs are validated once, by the public functions.  Below them the
 split, the shedding test, the search and the certificate check run on
 exponent tuples; a Monomial is built only for a certificate node or leaf.
 Each node of a search or a check keeps its generators as bits of int
-masks, with two tables filled on first use: I_u is the AND of the masks
-{g : g_i < u_i} over supp(u), and the witness test reads, for each m in
-I_u and i in supp(u), the mask {g : g : m = x_i} against I^u.  The search
-walks the supports depth first along their prefix trie, which visits
-them in lexicographic order, and extends only the distinct nonzero I_u
-masks of each prefix.  So it skips a candidate whose support and I_u
-mask it already tried at the node, where the split and the verdict
-would be the same, and every candidate with an empty I_u, which cannot
-shed; I_u only shrinks as the support grows, so an empty one ends its
-branch.  The first winner, the memo keys and the node count do not
-change.
+masks, with tables filled on first use.  I_u is the AND of the masks
+{g : g_i < u_i} over supp(u).  The shedding test rests on one invariant:
+if u sheds I, then for each i in supp(u) every m in I_u has m_i = u_i - 1
+and some generator h with h : m = x_i, and such an h has h_i = u_i, so it
+lies in I^u with no further check.  So u sheds exactly when I_u is
+nonzero and lies in the step mask {m : m_i = u_i - 1, some h : m = x_i}
+of every pair (i, u_i); the search, the verifier and
+`is_shedding_monomial` all read these step masks.  The search walks the
+supports depth first along their prefix trie, which visits them in
+lexicographic order, and carries with each choice of bounds its I_u mask
+and its good mask, the members of I_u that pass every step so far.  It
+yields a candidate only when its I_u is nonzero and equal to its good
+mask, so every candidate it yields sheds, and it ends a branch when the
+good mask is empty, as a shedding extension has its I_u inside it.  The
+first winner, the memo keys and the node count do not change.
 
 The complex search and check read the facet masks of the complex, a
 sorted antichain of ints.  A face sigma sheds the complex when every face
@@ -39,7 +43,9 @@ in a facet without sigma (one with sigma would hold v, hence F), so the
 deletion has exactly the facets not holding sigma, and the link has
 F - sigma for the facets F holding it, with no minimalization on either
 side.  Faces are generated depth first, a face before its extensions by
-larger vertices, which is the lexicographic order below.
+larger vertices, which is the lexicographic order below.  The holders of
+a larger face are among those of sigma, so the walk yields only the
+faces that shed and ends a branch at a face in the mask of no holder.
 
 Determinism: candidates are tried in lexicographic order of their sorted
 support/vertex tuple, then of the exponent vector, and the first valid
@@ -85,14 +91,15 @@ def _check_u(ctx: VariableContext, u: Monomial) -> None:
 
 class _Node:
     """One node's generators as mask bits (bit j is gens[j]), with the one
-    copy of the predicate and the witness test; tables fill on first use."""
+    copy of the predicate and of the shedding step; tables fill on first use."""
 
-    __slots__ = ("gens", "full", "below", "wit")
+    __slots__ = ("gens", "full", "below", "steps", "wit")
 
     def __init__(self, gens):
         self.gens, self.full = gens, (1 << len(gens)) - 1
         self.below = {}  # (i, e) -> mask of the g with g_i < e
-        self.wit = [None] * len(gens)  # j -> [mask of the g with g : gens[j] = x_i]
+        self.steps = {}  # (i, e) -> mask of the g with g_i = e - 1 and a witness in i
+        self.wit = [None] * len(gens)  # j -> mask of the i with some g : gens[j] = x_i
 
     def fill(self, b) -> int:
         """The mask of the g with g_i < e for the pair b = (i, e), stored in
@@ -112,37 +119,60 @@ class _Node:
             lower &= m
         return lower
 
-    def sheds(self, support, lower) -> bool:
-        """For each m in I_u and i in the support some g in I^u has g : m = x_i,
-        i.e. max(g_l - m_l, 0) = [l = i] for all l."""
-        upper = self.full ^ lower
-        if not upper or not lower:
-            return False  # nothing to shed, or the witnesses cannot exist
-        while lower:
-            j = (lower & -lower).bit_length() - 1
-            lower &= lower - 1
-            row = self.wit[j] or self._witnesses(j)
-            for i in support:
-                if not row[i] & upper:
-                    return False
-        return True
+    def step(self, b) -> int:
+        """The shedding step for the pair b = (i, u_i), stored in `steps`: the
+        mask of the m with m_i = u_i - 1 and some generator h with h : m = x_i.
+        Such an h has h_i = u_i, so it lies in I^u.  Conversely a witness g in
+        I^u for an m in I_u has g_l <= m_l < u_l for l != i, so g_i >= u_i,
+        while g_i = m_i + 1 <= u_i; hence m_i = u_i - 1 and m is in the mask."""
+        i, e = b
+        m, wit = 0, self.wit
+        for j, g in enumerate(self.gens):
+            if g[i] == e - 1:
+                row = wit[j]
+                if row is None:
+                    row = self._witnesses(j)
+                if row >> i & 1:
+                    m |= 1 << j
+        self.steps[b] = m
+        return m
 
-    def _witnesses(self, j) -> list[int]:
+    def sheds(self, bounds, lower) -> bool:
+        """u sheds when I_u is nonzero and lies in the step of every pair
+        (i, u_i); u = 1 has no steps and an empty I^u, and does not."""
+        good, steps = lower, self.steps
+        for b in bounds:
+            m = steps.get(b)
+            good &= self.step(b) if m is None else m
+        return good == lower and 0 < lower != self.full
+
+    def _witnesses(self, j) -> int:
+        """The i for which some g has g : gens[j] = x_i, that is g_i = m_i + 1
+        and g_l <= m_l otherwise: one scan of each g, up to its second
+        coordinate above m (or its first more than one above)."""
         m = self.gens[j]
-        row = self.wit[j] = [0] * len(m)
-        for t, g in enumerate(self.gens):
-            over = [i for i, (a, b) in enumerate(zip(g, m)) if a > b]
-            if len(over) == 1 and g[over[0]] == m[over[0]] + 1:
-                row[over[0]] |= 1 << t
+        row = 0
+        for g in self.gens:
+            over = -1
+            for i, a in enumerate(g):
+                if a > m[i]:
+                    if over >= 0 or a > m[i] + 1:
+                        break
+                    over = i
+            else:
+                if over >= 0:
+                    row |= 1 << over
+        self.wit[j] = row
         return row
 
     def pick(self, mask) -> tuple:
         return tuple([g for j, g in enumerate(self.gens) if mask >> j & 1])
 
-    def split(self, u) -> tuple[list[int], int]:
-        """supp(u) and the mask of I_u for an exponent vector u."""
-        support = [i for i, a in enumerate(u) if a]
-        return support, self.lower([(i, u[i]) for i in support])
+    def split(self, u) -> tuple[list[tuple[int, int]], int]:
+        """The pairs (i, u_i) over supp(u) and the mask of I_u for an
+        exponent vector u."""
+        bounds = [(i, a) for i, a in enumerate(u) if a]
+        return bounds, self.lower(bounds)
 
 
 def matches(u: Monomial, m: Monomial) -> bool:
@@ -254,8 +284,8 @@ def _verified_ideal_fold(cert, leaf, join, k=-1, expected=None):
                 f"|supp(u)| = {len(u.support)} exceeds k + 1 = {k + 1}"
             )
         node = _Node(gens)
-        support, lower = node.split(u.exponents)
-        if not node.sheds(support, lower):
+        bounds, lower = node.split(u.exponents)
+        if not node.sheds(bounds, lower):
             raise InvalidCertificateError(f"{u} is not a shedding monomial here")
         return node.pick(node.full ^ lower), node.pick(lower)
 
@@ -263,46 +293,66 @@ def _verified_ideal_fold(cert, leaf, join, k=-1, expected=None):
 
 
 def _shedding_candidates(node: _Node, cap: int):
-    """Candidate shedding monomials in deterministic order, each as its
-    support, its bounds (i, u_i) and the nonzero mask of its I_u.
+    """The shedding monomials of the node in deterministic order, each as
+    its support, its bounds (i, u_i) and the mask of its I_u.
 
     For each variable the candidate exponents are exactly the positive
     exponents occurring among the generators, so the space is finite and
     complete up to the threshold semantics of the predicate.  Supports
     come in lexicographic order of their sorted index tuple, which is the
     depth-first preorder of their prefix trie, and exponent choices in
-    ascending product order.  Each support keeps its distinct nonzero
-    I_u masks with the bounds that first gave them; an extension by a
-    larger variable v ANDs each of them, in that order, with the `below`
-    mask of each exponent of v, ascending.  A repeated mask would only
-    yield masks already yielded, and I_u only shrinks as the support
-    grows, so a support with no nonzero mask has no extension worth
-    trying: `sheds` rejects an empty I_u.  The candidates are those of
-    the full product order, first occurrences only, minus the empty I_u.
-    Nothing is computed ahead of the candidate that needs it.
+    ascending product order.  A partial is a choice of bounds for a
+    support with its I_u mask and its good mask, the members of I_u that
+    pass the step of each of its pairs.  An extension by a larger
+    variable v and exponent e ANDs the good mask with the step of (v, e)
+    and the I_u mask with the `below` mask of (v, e).  By the invariant of
+    the module docstring:
+
+    - the extension sheds when its I_u is nonzero and equal to its good
+      mask (a witness then lies outside I_u, so I_u is not all of G(I)),
+      and only then is it yielded;
+    - an empty good mask drops the extension with its whole branch: I_u
+      only shrinks as the support grows and each step adds a condition,
+      so a shedding extension has its I_u inside the good mask;
+    - a nonzero good mask pins the bounds that gave its I_u: for a member
+      m and a pair (i, u_i), the witness h has h_i = u_i and h_l <= m_l
+      otherwise, so other bounds with the same I_u would put h in it
+      unless they had u_i too.  The partials kept for a support thus have
+      distinct I_u masks, and the walk yields each shedding candidate of
+      the full product order once, in that order.
+
+    Nothing is computed ahead of the candidate that needs it: the step of
+    (v, e) comes first, and its `below` mask only for a surviving
+    extension.
     """
     n = len(node.gens[0])
     exps = [sorted({g[i] for g in node.gens} - {0}) for i in range(n)]
     variables = [i for i in range(n) if exps[i]]
-    return _extend(node, exps, variables, (), {node.full: ()}, cap)
+    return _extend(node, exps, variables, (), [(node.full, (), node.full)], cap)
 
 
-def _extend(node: _Node, exps, variables, supp, partials: dict, room: int):
-    """The candidates of the supports supp + (v, ...) with v in
-    `variables` and at most `room` more variables, from the I_u masks of
-    supp (mask -> bounds, in first-occurrence order)."""
-    below = node.below
+def _extend(node: _Node, exps, variables, supp, partials: list, room: int):
+    """The shedding candidates of the supports supp + (v, ...) with v in
+    `variables` and at most `room` more variables, from the partials of
+    supp: (I_u mask, bounds, nonzero good mask), in product order."""
+    below, steps = node.below, node.steps
     for at, v in enumerate(variables):
-        s, level = supp + (v,), {}
-        for mask, bounds in partials.items():
+        s, level = supp + (v,), []
+        for mask, bounds, good in partials:
             for e in exps[v]:
-                m = below.get((v, e))
-                if m is None:
-                    m = node.fill((v, e))
-                m &= mask
-                if m and m not in level:
-                    b = level[m] = bounds + ((v, e),)
-                    yield s, b, m
+                g = steps.get((v, e))
+                if g is None:
+                    g = node.step((v, e))
+                g &= good
+                if g:
+                    m = below.get((v, e))
+                    if m is None:
+                        m = node.fill((v, e))
+                    m &= mask
+                    b = bounds + ((v, e),)
+                    level.append((m, b, g))
+                    if g == m:
+                        yield s, b, m
         if level and room > 1:
             yield from _extend(node, exps, variables[at + 1 :], s, level, room - 1)
 
@@ -349,9 +399,7 @@ def _search_ideal(ctx, gens, k, memo, budget) -> IdealCertificate | None:
     cap = ctx.n if k < 0 else k + 1
     node = _Node(gens)
     result = None
-    for supp, bounds, lower in _shedding_candidates(node, cap):
-        if not node.sheds(supp, lower):
-            continue
+    for _, bounds, lower in _shedding_candidates(node, cap):
         left = _search_ideal(ctx, node.pick(node.full ^ lower), k, memo, budget)
         if left is None:
             continue
@@ -382,9 +430,14 @@ def _exchange_masks(holders, facets) -> dict[int, int]:
     return ex
 
 
+def _fits(sigma: int, holders, ex) -> list[int]:
+    """The facets f among those holding sigma with sigma inside ex[f]."""
+    return [f for f in holders if not sigma & ~ex[f]]
+
+
 def _sheds(sigma: int, holders, ex) -> bool:
-    """The exchange test for sigma, given the facets that hold it."""
-    return not any(sigma & ~ex[f] for f in holders)
+    """The exchange test for sigma, given the facets that hold it: each fits."""
+    return len(_fits(sigma, holders, ex)) == len(holders)
 
 
 def is_shedding_face(delta: SimplicialComplex, sigma) -> bool:
@@ -531,17 +584,25 @@ def _complex_leaf(facets: tuple[int, ...]) -> ComplexLeaf:
     return ComplexLeaf(frozenset(bits(facets[0])) if facets else None)
 
 
-def _faces_in_order(facets, vertices, cap, face=0):
-    """The nonempty faces with at most cap vertices, each with the facets
+def _faces_in_order(facets, ex, vertices, cap, face=0):
+    """The shedding faces with at most cap vertices, each with the facets
     holding it, in lexicographic order of their sorted vertex tuples: a
-    face, then its extensions by larger vertices."""
+    face, then its extensions by larger vertices.  A face sheds when every
+    facet holding it fits it (`_fits`, on the exchange masks ex).  The
+    holders of an extension are among those of the face and must fit the
+    extension, hence the face, so a face that no holder fits ends its
+    branch."""
     for at, v in enumerate(vertices):
         b = 1 << v
         inner = [f for f in facets if f & b]
         if inner:
-            yield face | b, inner
-            if cap > 1:
-                yield from _faces_in_order(inner, vertices[at + 1 :], cap - 1, face | b)
+            s = face | b
+            fit = _fits(s, inner, ex)
+            if fit:
+                if len(fit) == len(inner):
+                    yield s, inner
+                if cap > 1:
+                    yield from _faces_in_order(inner, ex, vertices[at + 1 :], cap - 1, s)
 
 
 def _search_complex(facets, k, memo, budget) -> ComplexCertificate | None:
@@ -555,9 +616,7 @@ def _search_complex(facets, k, memo, budget) -> ComplexCertificate | None:
     cap = len(vertices) if k < 0 else k + 1
     ex = _exchange_masks(facets, facets)
     result = None
-    for sigma, holders in _faces_in_order(facets, vertices, cap):
-        if not _sheds(sigma, holders, ex):
-            continue
+    for sigma, holders in _faces_in_order(facets, ex, vertices, cap):
         # Tuples are built from lists: tuple() of a generator over-allocates,
         # and the shrunk tuples pile up in the interpreter's free lists.
         deletion = tuple([f for f in facets if f & sigma != sigma])

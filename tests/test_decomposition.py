@@ -261,6 +261,9 @@ def test_invalid_certificate_rejected(ctx3):
             with pytest.raises(InvalidCertificateError) as derived:
                 derive(cert)
             assert str(derived.value) == str(verified.value)
+    # u = 1 leaves I^u empty: the shedding check rejects it, not a leaf below
+    with pytest.raises(InvalidCertificateError, match="^1 is not a shedding monomial here$"):
+        verify_ideal_certificate(IdealNode(ctx3.one(), deletion, yz))
 
     from kdecomp import reg_pd_complex
 

@@ -15,15 +15,18 @@ tested, with no masks and no skipping of repeated splits.
 `product_order_candidates` is the candidate enumeration that the prefix
 walk of `_shedding_candidates` replaced: every support in lex order,
 every exponent choice in product order, each I_u mask once per support,
-with I_u computed from its definition.  The walk must yield the same
-sequence minus the empty I_u, and compute nothing ahead of need.
+with I_u computed from its definition.  The walk must yield exactly the
+candidates of that sequence that shed by the definition, in the same
+order, and compute nothing ahead of need.
 
 For complexes, `sheds_by_exchange` is the exchange test over all faces
 as frozensets: every face tau containing sigma can trade any v in sigma
 for some w outside tau and stay a face.  `reference_search_complex`
 recurses on `delete_face` and `link`, tries every face in lexicographic
 order of its sorted vertex tuple and memoizes by the sorted facet tuples,
-so it shares no code with the facet-mask search.
+so it shares no code with the facet-mask search.  The face walk of that
+search must yield exactly the faces that shed by the exchange test, in
+lexicographic order, each with the facets holding it.
 """
 
 from __future__ import annotations
@@ -55,7 +58,9 @@ from kdecomp import (
     verify_complex_certificate,
     verify_ideal_certificate,
 )
-from kdecomp.decomposition import _Node, _shedding_candidates
+from kdecomp.decomposition import (
+    _exchange_masks, _faces_in_order, _Node, _shedding_candidates
+)
 
 
 def matches_by_definition(u, m) -> bool:
@@ -146,12 +151,22 @@ def product_order_candidates(gens, cap):
                 yield supp, choice, lower
 
 
+def monomial_of_bounds(ctx, bounds):
+    vec = [0] * ctx.n
+    for i, e in bounds:
+        vec[i] = e
+    return ctx.monomial(vec)
+
+
 @settings(max_examples=300, derandomize=True, database=None, deadline=None)
 @given(ideals())
 def test_prefix_walk_matches_product_order(ideal):
     gens = ideal.exps
     for cap in range(1, ideal.ctx.n + 1):
-        expected = [c for c in product_order_candidates(gens, cap) if c[2]]
+        expected = [
+            c for c in product_order_candidates(gens, cap)
+            if c[2] and sheds_by_definition(ideal, monomial_of_bounds(ideal.ctx, c[1]))
+        ]
         assert list(_shedding_candidates(_Node(gens), cap)) == expected, cap
 
 
@@ -293,6 +308,25 @@ def complexes(draw):
     masks = draw(st.lists(st.integers(1, 2**n - 1), min_size=3, max_size=10, unique=True))
     faces = [[v for v in range(n) if m >> v & 1] for m in masks]
     return SimplicialComplex.from_facets(VariableContext(tuple("abcdef"[:n])), faces)
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(complexes())
+def test_face_walk_yields_the_shedding_faces(delta):
+    faces = delta.faces()
+    facets = delta.facet_masks
+    vertices = sorted(delta.vertices)
+    ex = _exchange_masks(facets, facets)
+    shedding = sorted(
+        tuple(sorted(f)) for f in faces if f and sheds_by_exchange(delta, f, faces)
+    )
+    for cap in range(1, len(vertices) + 1):
+        expected = []
+        for face in shedding:
+            if len(face) <= cap:
+                sigma = sum(1 << v for v in face)
+                expected.append((sigma, [f for f in facets if f & sigma == sigma]))
+        assert list(_faces_in_order(facets, ex, vertices, cap)) == expected, cap
 
 
 @settings(max_examples=200, derandomize=True, database=None, deadline=None)

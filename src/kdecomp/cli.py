@@ -1,11 +1,19 @@
 """Command line front end.
 
-Subcommands: dual, betti, decompose, invariants, clutter, verify.
+Subcommands: dual, betti, decompose, invariants, clutter (chordal, bound,
+minor), verify.
 Exit status: 0 success/verified, 1 definitive negative or property
 violation (a counterexample is printed), 2 usage or parse error, or
 stdout closed by its reader before all output was written (as `| head -1`
 does on a long output; nothing more is printed then), 3 undecided (a
 search or oracle budget or Python's recursion limit was hit).
+
+Each subcommand's handler returns (exit status, its --json object or
+None, its text form), and `_run` alone prints: the object as indented
+JSON under --json, else the text form.  A None object (a negative answer
+such as "not decomposable") prints the text form under --json too.  The
+text form is a string, or a function that builds it when that costs
+work, so a --json run never builds it.
 
 Output is deterministic: identical inputs, flags and seeds produce
 byte-identical output, and randomized commands require an explicit seed.
@@ -55,22 +63,21 @@ def _read_document(path: str) -> doc.ParsedDocument:
     return parsed
 
 
-def _emit_json(obj) -> None:
-    print(json.dumps(obj, indent=2))
-
-
 def _parse_field(text: str):
     if text == "rational":
         return None
+    field = None
     try:
         field = int(text)
         ho.check_field(field)
-    except ValueError:
+    except ValueError as exc:
+        if field is not None and field >= ho.FIELD_BOUND:
+            raise DocumentError(str(exc)) from None  # too large to test for primality
         raise DocumentError(f"field must be 'rational' or a prime, got {text!r}") from None
     return field
 
 
-def _cmd_dual(args) -> int:
+def _cmd_dual(args):
     parsed = _read_document(args.file)
     if parsed.kind == "ideal":
         try:
@@ -81,14 +88,10 @@ def _cmd_dual(args) -> int:
         out = cx.alexander_dual_complex(parsed.value)
     else:
         raise DocumentError("dual expects an ideal or a complex")
-    if args.json:
-        _emit_json(doc.emit_object(out))
-    else:
-        print(out)
-    return EXIT_OK
+    return EXIT_OK, doc.emit_object(out), str(out)
 
 
-def _cmd_betti(args) -> int:
+def _cmd_betti(args):
     parsed = _read_document(args.file)
     if parsed.kind != "ideal":
         raise DocumentError("betti expects an ideal document")
@@ -99,32 +102,23 @@ def _cmd_betti(args) -> int:
     elif args.method == "order":
         order = res.linear_quotients_order(ideal)
         if order is None:
-            print("no order of linear quotients exists")
-            return EXIT_VIOLATION
+            return EXIT_VIOLATION, None, "no order of linear quotients exists"
         table = res.betti_from_order(ideal, order)
     else:
         cert = dec.k_decomposable_ideal(ideal)
         if cert is None:
-            print("the ideal is not decomposable; no certificate recursion")
-            return EXIT_VIOLATION
+            return EXIT_VIOLATION, None, "the ideal is not decomposable; no certificate recursion"
         table = res.betti_recursive(cert)
-    if args.json:
-        _emit_json(
-            {
-                "method": args.method,
-                "entries": [
-                    {"i": i, "j": j, "count": c} for (i, j), c in table.items()
-                ],
-                "pd": table.pd,
-                "reg": table.reg,
-            }
-        )
-    else:
-        print(table.render())
-    return EXIT_OK
+    obj = {
+        "method": args.method,
+        "entries": [{"i": i, "j": j, "count": c} for (i, j), c in table.items()],
+        "pd": table.pd,
+        "reg": table.reg,
+    }
+    return EXIT_OK, obj, table.render
 
 
-def _cmd_decompose(args) -> int:
+def _cmd_decompose(args):
     parsed = _read_document(args.file)
     k = args.k
     if k < -1:
@@ -142,22 +136,17 @@ def _cmd_decompose(args) -> int:
     else:
         raise DocumentError("decompose expects an ideal or a complex")
     if cert is None:
-        print(f"not {k}-decomposable" if k >= 0 else "not decomposable")
-        return EXIT_VIOLATION
+        return EXIT_VIOLATION, None, f"not {k}-decomposable" if k >= 0 else "not decomposable"
     if parsed.kind == "ideal":
         dec.verify_ideal_certificate(cert, k, parsed.value)
         obj = doc.ideal_certificate_object(cert)
     else:
         dec.verify_complex_certificate(parsed.value, cert, k)
         obj = doc.complex_certificate_object(cert, parsed.value.ctx)
-    if args.json:
-        _emit_json(obj)
-    else:
-        print(doc.certificate_text(obj))
-    return EXIT_OK
+    return EXIT_OK, obj, lambda: doc.certificate_text(obj)
 
 
-def _cmd_invariants(args) -> int:
+def _cmd_invariants(args):
     parsed = _read_document(args.file)
     field = _parse_field(args.field)
     notes: list[str] = []
@@ -186,58 +175,52 @@ def _cmd_invariants(args) -> int:
             out["bight"] = res.bight(ideal)
     if notes:
         out["notes"] = notes
-    if args.json:
-        _emit_json(out)
-    else:
-        for key in ("ideal", "quotient"):
-            if key in out:
-                print(
-                    f"{key}: reg = {out[key]['reg']}, pd = {out[key]['pd']}"
-                )
-        if "bight" in out:
-            print(f"bight = {out['bight']}")
-        for note in notes:
-            print(f"note: {note}")
-    return EXIT_OK
+    lines = [
+        f"{key}: reg = {val['reg']}, pd = {val['pd']}"
+        for key, val in out.items() if key in ("ideal", "quotient")
+    ]
+    if "bight" in out:
+        lines.append(f"bight = {out['bight']}")
+    lines += [f"note: {note}" for note in notes]
+    return EXIT_OK, out, "\n".join(lines)
 
 
-def _cmd_clutter(args) -> int:
+def _read_clutter(args) -> cl.Clutter:
     parsed = _read_document(args.file)
     if parsed.kind != "clutter":
         raise DocumentError("this command expects a clutter document")
-    clutter = parsed.value
+    return parsed.value
+
+
+def _cmd_chordal(args):
+    clutter = _read_clutter(args)
+    chordal, witness = cl.is_chordal(clutter)
+    obj = {"chordal": chordal}
+    lines = [f"chordal: {'true' if chordal else 'false'}"]
+    if witness is not None:
+        obj["witness"] = doc.trace_object(witness, clutter.ctx)
+        ops = ", ".join(f"{s['op']} {s['vertex']}" for s in obj["witness"])
+        lines.append(f"witness minor: [{ops or 'the clutter itself'}]")
+    return EXIT_OK if chordal else EXIT_VIOLATION, obj, "\n".join(lines)
+
+
+def _cmd_minor(args):
+    clutter = _read_clutter(args)
     ctx = clutter.ctx
+    trace = doc.parse_ops(args.ops, ctx)
+    remaining = set(clutter.vertices)
+    for step in trace:
+        if step.vertex not in remaining:
+            name = ctx.names[step.vertex]
+            raise DocumentError(f"{name!r} is not a vertex of the minor")
+        remaining.remove(step.vertex)
+    out = cl.apply_trace(clutter, trace)
+    return EXIT_OK, doc.emit_object(out), str(out)
 
-    if args.clutter_cmd == "chordal":
-        chordal, witness = cl.is_chordal(clutter)
-        if args.json:
-            out = {"chordal": chordal}
-            if witness is not None:
-                out["witness"] = doc.trace_object(witness, ctx)
-            _emit_json(out)
-        else:
-            print(f"chordal: {'true' if chordal else 'false'}")
-            if witness is not None:
-                ops = ", ".join(f"{s.kind} {ctx.names[s.vertex]}" for s in witness)
-                print(f"witness minor: [{ops or 'the clutter itself'}]")
-        return EXIT_OK if chordal else EXIT_VIOLATION
 
-    if args.clutter_cmd == "minor":
-        trace = doc.parse_ops(args.ops, ctx)
-        remaining = set(clutter.vertices)
-        for step in trace:
-            if step.vertex not in remaining:
-                name = ctx.names[step.vertex]
-                raise DocumentError(f"{name!r} is not a vertex of the minor")
-            remaining.remove(step.vertex)
-        out = cl.apply_trace(clutter, trace)
-        if args.json:
-            _emit_json(doc.emit_object(out))
-        else:
-            print(out)
-        return EXIT_OK
-
-    # bound
+def _cmd_bound(args):
+    clutter = _read_clutter(args)
+    ctx = clutter.ctx
     try:
         x = ctx.index(args.vertex)
     except KeyError:
@@ -249,158 +232,121 @@ def _cmd_clutter(args) -> int:
         report = cl.chordal_reg_bound(clutter, x, edge)
     except ValueError as exc:
         raise DocumentError(str(exc)) from None
-    except PropertyViolationError as exc:
-        print(f"violation: {exc}")
-        return EXIT_VIOLATION
-    if args.json:
-        _emit_json(
-            {
-                "reg": report.reg,
-                "identity": {
-                    "deletion": report.identity_deletion,
-                    "link": report.identity_link,
-                    "rhs": report.identity_rhs,
-                    "holds": report.identity_holds,
-                },
-                "bound": {
-                    "deletion_sum": report.bound_deletion,
-                    "link": report.bound_link,
-                    "rhs": report.bound_rhs,
-                    "holds": report.bound_holds,
-                },
-            }
-        )
-    else:
-        print(f"reg R/I(H) = {report.reg}")
-        print(
-            f"identity rhs = max({report.identity_deletion}, "
-            f"{report.identity_link}) = {report.identity_rhs}  [equal]"
-        )
-        print(
-            f"bound rhs = max({report.bound_deletion}, "
-            f"{report.bound_link}) = {report.bound_rhs}  [holds]"
-        )
-    return EXIT_OK
+    obj = {
+        "reg": report.reg,
+        "identity": {
+            "deletion": report.identity_deletion,
+            "link": report.identity_link,
+            "rhs": report.identity_rhs,
+            "holds": report.identity_holds,
+        },
+        "bound": {
+            "deletion_sum": report.bound_deletion,
+            "link": report.bound_link,
+            "rhs": report.bound_rhs,
+            "holds": report.bound_holds,
+        },
+    }
+    ident, bound = obj["identity"], obj["bound"]
+    text = (
+        f"reg R/I(H) = {obj['reg']}\n"
+        f"identity rhs = max({ident['deletion']}, {ident['link']}) = {ident['rhs']}  [equal]\n"
+        f"bound rhs = max({bound['deletion_sum']}, {bound['link']}) = {bound['rhs']}  [holds]"
+    )
+    return EXIT_OK, obj, text
 
 
-def _verify_three_way(rng: Random, count: int):
-    ctx = VariableContext.of(*[f"x{i}" for i in range(1, 7)])
-    memo: dict = {}
-    done = 0
-    attempts = 0
-    while done < count:
-        attempts += 1
-        if attempts > 200 * count:
-            raise BudgetExceededError("too few decomposable samples")
-        ideal = gen.random_monomial_ideal(rng, ctx, max_gens=10, max_exp=3)
-        cert = dec.k_decomposable_ideal(ideal, 2, memo=memo)
-        if cert is None:
-            continue
-        order = res.order_from_certificate(cert)
-        t_order = res.betti_from_order(ideal, order)
-        t_rec = res.betti_recursive(cert)
-        t_oracle = ho.betti_koszul(ideal)
-        if not (t_order == t_rec == t_oracle):
-            return done, f"Betti tables disagree on {ideal}"
-        done += 1
-    return done, None
+# One instance of each `verify` property, drawn from the shared rng: None
+# skips it, True verifies it, and a string describes a counterexample.
 
 
-def _verify_terao(rng: Random, count: int):
-    ctx = VariableContext.of(*[f"x{i}" for i in range(1, 8)])
-    for i in range(count):
-        ideal = gen.random_squarefree_ideal(rng, ctx, max_gens=8)
-        if not res.terao_check(ideal):
-            return i, f"duality identity fails on {ideal}"
-    return count, None
+def _three_way(rng: Random, ctx: VariableContext, memo: dict):
+    ideal = gen.random_monomial_ideal(rng, ctx, max_gens=10, max_exp=3)
+    cert = dec.k_decomposable_ideal(ideal, 2, memo=memo)
+    if cert is None:
+        return None
+    t_order = res.betti_from_order(ideal, res.order_from_certificate(cert))
+    t_rec = res.betti_recursive(cert)
+    t_oracle = ho.betti_koszul(ideal)
+    return t_order == t_rec == t_oracle or f"Betti tables disagree on {ideal}"
 
 
-def _verify_ha(rng: Random, count: int):
-    ctx = VariableContext.of(*[f"x{i}" for i in range(1, 7)])
-    for i in range(count):
-        delta = gen.random_complex(rng, ctx, 6)
-        sigma = gen.random_face(rng, delta)
-        reg = ho.oracle_complex_reg_pd(delta)[0]
-        reg_del = ho.oracle_complex_reg_pd(
-            cx.delete_face(delta, sigma), ambient=delta.vertices
-        )[0]
-        reg_link = ho.oracle_complex_reg_pd(
-            cx.link(delta, sigma), ambient=delta.vertices - sigma
-        )[0]
-        if reg > max(reg_del, reg_link + len(sigma)):
-            return i, f"regularity bound fails on {delta} at {sorted(sigma)}"
-    return count, None
+def _terao(rng: Random, ctx: VariableContext, memo: dict):
+    ideal = gen.random_squarefree_ideal(rng, ctx, max_gens=8)
+    return res.terao_check(ideal) or f"duality identity fails on {ideal}"
 
 
-def _verify_regp(rng: Random, count: int):
-    ctx = VariableContext.of(*[f"x{i}" for i in range(1, 8)])
-    memo: dict = {}
-    done = 0
-    attempts = 0
-    while done < count:
-        attempts += 1
-        if attempts > 500 * count:
-            raise BudgetExceededError("too few vertex-decomposable samples")
-        delta = gen.random_complex(rng, ctx, 7)
-        cert = dec.k_decomposable_complex(delta, 0, memo=memo)
-        if cert is None or not isinstance(cert, dec.ComplexNode):
-            continue
-        reg, pd = res.reg_pd_complex(delta, cert)
-        if (reg, pd) != ho.oracle_complex_reg_pd(delta):
-            return done, f"recursive reg/pd disagrees with the oracle on {delta}"
-        done += 1
-    return done, None
+def _ha(rng: Random, ctx: VariableContext, memo: dict):
+    delta = gen.random_complex(rng, ctx, 6)
+    sigma = gen.random_face(rng, delta)
+    verts = delta.vertices
+    reg = ho.oracle_complex_reg_pd(delta)[0]
+    reg_del = ho.oracle_complex_reg_pd(cx.delete_face(delta, sigma), ambient=verts)[0]
+    reg_link = ho.oracle_complex_reg_pd(cx.link(delta, sigma), ambient=verts - sigma)[0]
+    holds = reg <= max(reg_del, reg_link + len(sigma))
+    return holds or f"regularity bound fails on {delta} at {sorted(sigma)}"
 
 
-def _verify_lemma_h(rng: Random, count: int):
-    ctx = VariableContext.of(*[f"x{i}" for i in range(1, 8)])
-    done = 0
-    attempts = 0
-    while done < count:
-        attempts += 1
-        if attempts > 200 * count:
-            raise BudgetExceededError("too few clutters with edges")
-        clutter = gen.random_clutter(rng, ctx, rng.randint(2, 7))
-        if clutter.is_edgeless:
-            continue
-        edges = sorted(clutter.edges, key=sorted)
-        e = edges[rng.randrange(len(edges))]
-        x = sorted(e)[rng.randrange(len(e))]
-        cl.lemma_h_ideals(clutter, e, x)  # raises on mismatch
-        done += 1
-    return done, None
+def _regp(rng: Random, ctx: VariableContext, memo: dict):
+    delta = gen.random_complex(rng, ctx, 7)
+    cert = dec.k_decomposable_complex(delta, 0, memo=memo)
+    if not isinstance(cert, dec.ComplexNode):  # not decomposable, or a simplex
+        return None
+    agree = res.reg_pd_complex(delta, cert) == ho.oracle_complex_reg_pd(delta)
+    return agree or f"recursive reg/pd disagrees with the oracle on {delta}"
 
 
-_VERIFIERS = {
-    "three-way": _verify_three_way,
-    "terao": _verify_terao,
-    "ha": _verify_ha,
-    "regp": _verify_regp,
-    "lemma-h": _verify_lemma_h,
+def _lemma_h(rng: Random, ctx: VariableContext, memo: dict):
+    clutter = gen.random_clutter(rng, ctx, rng.randint(2, 7))
+    if clutter.is_edgeless:
+        return None
+    edges = sorted(clutter.edges, key=sorted)
+    e = edges[rng.randrange(len(edges))]
+    x = sorted(e)[rng.randrange(len(e))]
+    cl.lemma_h_ideals(clutter, e, x)  # raises on mismatch
+    return True
+
+
+# property: (one-instance check, variables, attempts allowed per instance,
+# what the skipped attempts lack); terao and ha never skip an attempt
+_PROPERTIES = {
+    "three-way": (_three_way, 6, 200, "decomposable samples"),
+    "terao": (_terao, 7, 1, "samples"),
+    "ha": (_ha, 6, 1, "samples"),
+    "regp": (_regp, 7, 500, "vertex-decomposable samples"),
+    "lemma-h": (_lemma_h, 7, 200, "clutters with edges"),
 }
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args):
     if args.count < 0:
         raise DocumentError(f"--count must be at least 0, got {args.count}")
+    check, n, patience, lacking = _PROPERTIES[args.property]
     rng = Random(args.seed)
-    runner = _VERIFIERS[args.property]
-    done, failure = runner(rng, args.count)
-    if args.json:
-        _emit_json(
-            {
-                "property": args.property,
-                "seed": args.seed,
-                "verified": done,
-                "counterexample": failure,
-            }
-        )
+    ctx = VariableContext.of(*[f"x{i}" for i in range(1, n + 1)])
+    memo: dict = {}  # shared by every instance of one run
+    done = attempts = 0
+    failure = None
+    while done < args.count and failure is None:
+        attempts += 1
+        if attempts > patience * args.count:
+            raise BudgetExceededError(f"too few {lacking}")
+        outcome = check(rng, ctx, memo)
+        if outcome is True:
+            done += 1
+        elif outcome is not None:
+            failure = outcome
+    obj = {
+        "property": args.property,
+        "seed": args.seed,
+        "verified": done,
+        "counterexample": failure,
+    }
+    if failure is None:
+        text = f"verified {done} instances of {args.property} (seed {args.seed})"
     else:
-        if failure is None:
-            print(f"verified {done} instances of {args.property} (seed {args.seed})")
-        else:
-            print(f"counterexample after {done} instances: {failure}")
-    return EXIT_OK if failure is None else EXIT_VIOLATION
+        text = f"counterexample after {done} instances: {failure}"
+    return EXIT_OK if failure is None else EXIT_VIOLATION, obj, text
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -410,49 +356,38 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_file(p):
+    def command(subparsers, name, func, help):
+        p = subparsers.add_parser(name, help=help)
         p.add_argument("file", nargs="?", default="-", help="input document (default: stdin)")
         p.add_argument("--json", action="store_true", help="machine-readable output")
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("dual", help="Alexander dual of an ideal or complex")
-    add_file(p)
-    p.set_defaults(func=_cmd_dual)
+    command(sub, "dual", _cmd_dual, "Alexander dual of an ideal or complex")
 
-    p = sub.add_parser("betti", help="graded Betti table of an ideal")
-    add_file(p)
+    p = command(sub, "betti", _cmd_betti, "graded Betti table of an ideal")
     p.add_argument("--method", choices=("order", "recursive", "oracle"), required=True)
     p.add_argument("--field", default="rational", help="rational (default) or a prime")
-    p.set_defaults(func=_cmd_betti)
 
-    p = sub.add_parser("decompose", help="search for a decomposition certificate")
-    add_file(p)
+    p = command(sub, "decompose", _cmd_decompose, "search for a decomposition certificate")
     p.add_argument("--k", type=int, required=True, help="bound on shedding size; -1 for any")
     p.add_argument("--mode", choices=("direct", "dual"), default="direct")
     p.add_argument("--budget", type=int, default=dec.DEFAULT_NODE_BUDGET)
-    p.set_defaults(func=_cmd_decompose)
 
-    p = sub.add_parser("invariants", help="regularity, projective dimension, big height")
-    add_file(p)
+    p = command(sub, "invariants", _cmd_invariants, "regularity, projective dimension, big height")
     p.add_argument("--field", default="rational")
-    p.set_defaults(func=_cmd_invariants)
 
     p = sub.add_parser("clutter", help="clutter operations")
     csub = p.add_subparsers(dest="clutter_cmd", required=True)
-    pc = csub.add_parser("chordal", help="decide chordality; witness on failure")
-    add_file(pc)
-    pc.set_defaults(func=_cmd_clutter)
-    pc = csub.add_parser("bound", help="check the regularity identity and bound")
-    add_file(pc)
-    pc.add_argument("--vertex", required=True, help="the simplicial vertex")
-    pc.add_argument("--edge", required=True, help="comma-separated edge, e.g. x,y")
-    pc.set_defaults(func=_cmd_clutter)
-    pc = csub.add_parser("minor", help="apply delete/contract operations")
-    add_file(pc)
-    pc.add_argument("--ops", required=True, help='e.g. "delete:x,contract:y"')
-    pc.set_defaults(func=_cmd_clutter)
+    command(csub, "chordal", _cmd_chordal, "decide chordality; witness on failure")
+    p = command(csub, "bound", _cmd_bound, "check the regularity identity and bound")
+    p.add_argument("--vertex", required=True, help="the simplicial vertex")
+    p.add_argument("--edge", required=True, help="comma-separated edge, e.g. x,y")
+    p = command(csub, "minor", _cmd_minor, "apply delete/contract operations")
+    p.add_argument("--ops", required=True, help='e.g. "delete:x,contract:y"')
 
     p = sub.add_parser("verify", help="randomized property runs")
-    p.add_argument("property", choices=sorted(_VERIFIERS))
+    p.add_argument("property", choices=sorted(_PROPERTIES))
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--count", type=int, default=100)
     p.add_argument("--json", action="store_true")
@@ -480,7 +415,13 @@ def main(argv=None) -> int:
 
 def _run(args) -> int:
     try:
-        return args.func(args)
+        status, obj, text = args.func(args)
+        # inside the try: json.dumps of a deep certificate may recurse too far
+        if args.json and obj is not None:
+            print(json.dumps(obj, indent=2))
+        else:
+            print(text if isinstance(text, str) else text())
+        return status
     except BudgetExceededError as exc:
         print(f"undecided: {exc}", file=sys.stderr)
         return EXIT_UNDECIDED

@@ -173,27 +173,33 @@ def complex_certificate_object(cert: ComplexCertificate, ctx: VariableContext) -
     )
 
 
-def certificate_text(obj: dict, indent: int = 0) -> str:
-    """Indented text form of an ideal or complex certificate object."""
-    pad = "  " * indent
-    if obj["kind"] == "leaf":
-        if "generator" in obj:
-            return f"{pad}leaf: {obj['generator']}"
-        facet = obj["facet"]
-        return f"{pad}leaf: " + ("void" if facet is None else f"{{{','.join(facet)}}}")
-    if "u" in obj:
-        head = f"u = {obj['u']}"
-    else:
-        head = f"sigma = {{{','.join(obj['sigma'])}}}"
-    return "\n".join(
-        [
-            pad + head,
-            f"{pad}  deletion:",
-            certificate_text(obj["deletion"], indent + 2),
-            f"{pad}  link:",
-            certificate_text(obj["link"], indent + 2),
-        ]
-    )
+def certificate_text(obj: dict) -> str:
+    """Indented text form of an ideal or complex certificate object.
+
+    Lines are built once, in pre-order from an explicit stack, so a
+    certificate of any depth prints in time linear in its text."""
+    lines: list[str] = []
+    stack: list = [("", obj)]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):  # a "deletion:" or "link:" line
+            lines.append(item)
+            continue
+        pad, node = item
+        if "generator" in node:
+            lines.append(f"{pad}leaf: {node['generator']}")
+        elif node["kind"] == "leaf":
+            facet = node["facet"]
+            body = "void" if facet is None else f"{{{','.join(facet)}}}"
+            lines.append(f"{pad}leaf: {body}")
+        else:
+            sigma = node.get("sigma")
+            head = f"u = {node['u']}" if sigma is None else f"sigma = {{{','.join(sigma)}}}"
+            lines.append(pad + head)
+            inner = pad + "    "
+            stack += [(inner, node["link"]), pad + "  link:"]
+            stack += [(inner, node["deletion"]), pad + "  deletion:"]
+    return "\n".join(lines)
 
 
 def trace_object(trace, ctx: VariableContext) -> list[dict]:

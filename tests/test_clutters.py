@@ -3,7 +3,7 @@ from __future__ import annotations
 from random import Random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from kdecomp import (
     BudgetExceededError,
@@ -283,6 +283,37 @@ def test_chordal_reg_bound_masks_match_the_ideal_route(clutter):
         table = homology.betti_hochster(edge_ideal(clutter))
         assert homology.hochster_from_masks(clutter.edge_masks) is table
         assert list(homology._oracle_cache) == [("hochster", clutter.edge_masks, None)]
+
+
+@st.composite
+def mixed_clutters(draw):
+    """Clutters on 3 to 7 vertices from 2 to 8 edges, each of any size from
+    2 to the number of vertices."""
+    n = draw(st.integers(3, 7))
+    edge = st.sets(st.integers(0, n - 1), min_size=2, max_size=n)
+    edges = draw(st.lists(edge, min_size=2, max_size=8))
+    ctx = VariableContext(tuple(f"x{v}" for v in range(n)))
+    return Clutter.from_edges(ctx, edges, vertices=range(n))
+
+
+@settings(max_examples=400, derandomize=True, database=None, deadline=None)
+@given(mixed_clutters())
+def test_chordal_reg_bound_holds_on_random_chordal_clutters(clutter):
+    """The chordal-clutter theorem on random chordal clutters with edges of
+    mixed sizes: at every simplicial vertex x and every edge e through x,
+    reg R/I(H) equals the identity's right side and is at most the bound's.
+    A chordal clutter with an edge has a simplicial vertex, so each example
+    checks at least one pair."""
+    assume(is_chordal(clutter)[0])
+    checks = 0
+    for x in sorted(clutter.vertices):
+        if not is_simplicial_vertex(clutter, x):
+            continue
+        for e in sorted((e for e in clutter.edges if x in e), key=sorted):
+            report = chordal_reg_bound(clutter, x, e)  # raises if either fails
+            assert report.identity_holds and report.bound_holds
+            checks += 1
+    assert checks
 
 
 def test_chordal_reg_bound_preconditions(ctx4):

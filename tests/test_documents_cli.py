@@ -9,6 +9,7 @@ import pytest
 from kdecomp import DocumentError, ImproperIdealError, SimplicialComplex
 from kdecomp.cli import main
 from kdecomp.documents import (
+    certificate_text,
     emit_object,
     monomial_from_string,
     parse_document,
@@ -495,3 +496,46 @@ def test_cli_verify_rejects_negative_count(capsys):
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "-3" in err
+
+
+@pytest.mark.parametrize("field", ["2147483648", "1000000000000000003"])
+def test_cli_field_too_large_names_the_bound(capsys, monkeypatch, field):
+    # a field of 2**31 or more is refused for size before any primality
+    # test, and the message says so; smaller bad fields keep the generic one
+    code, out, err = run_cli(
+        capsys, ["invariants", "--field", field], TRI_IDEAL, monkeypatch
+    )
+    assert code == 2
+    assert out == ""
+    assert err == f"error: field must be a prime below 2147483648, got {field}\n"
+    code, out, err = run_cli(
+        capsys, ["invariants", "--field", "2147483646"], TRI_IDEAL, monkeypatch
+    )
+    assert code == 2
+    assert err == "error: field must be 'rational' or a prime, got '2147483646'\n"
+
+
+def test_certificate_text_of_any_depth():
+    # a chain of n nodes down the deletion side, built without recursion;
+    # the text is built from an explicit stack, so no recursion limit applies
+    n = 3000
+    obj = {"kind": "leaf", "generator": "y"}
+    for a in range(n, 0, -1):
+        link = {"kind": "leaf", "generator": f"m{a}"}
+        obj = {"kind": "node", "u": "x", "deletion": obj, "link": link}
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(150)
+    try:
+        text = certificate_text(obj)
+    finally:
+        sys.setrecursionlimit(limit)
+    lines = text.split("\n")
+    assert len(lines) == 4 * n + 1
+    assert lines[:3] == ["u = x", "  deletion:", "    u = x"]
+    assert lines[2 * n - 1 : 2 * n + 3] == [
+        " " * (4 * n - 2) + "deletion:",
+        " " * (4 * n) + "leaf: y",
+        " " * (4 * n - 2) + "link:",
+        " " * (4 * n) + f"leaf: m{n}",
+    ]
+    assert lines[-2:] == ["  link:", "    leaf: m1"]

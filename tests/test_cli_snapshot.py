@@ -48,6 +48,11 @@ FIXED_DOCUMENTS = [
     '{"kind":"complex","vars":["x","y","z"],"facets":[["x","y"],["x"]],"vertices":["x","y","z"]}',
     '{"kind":"complex","vars":["x","y","z"],"facets":[["x","y"],["x","z"],["y","z"]]}',
     '{"kind":"complex","vars":["x","y"],"facets":[]}',
+    # the 6-vertex real projective plane: 2-torsion, so its invariants
+    # over GF(2) differ from those over Q and GF(5)
+    '{"kind":"complex","vars":["a","b","c","d","e","f"],"facets":[["a","b","c"],["a","b","d"],'
+    '["a","c","e"],["a","d","f"],["a","e","f"],["b","c","f"],["b","d","e"],["b","e","f"],'
+    '["c","d","e"],["c","d","f"]]}',
     '{"kind":"clutter","vars":["x","y","z","w"],"edges":[["x","y"],["x","z"],["y","z"],["z","w"]]}',
     '{"kind":"clutter","vars":["x","y","z","w"],"edges":[["x","y"],["y","z"],["z","w"],["w","x"]]}',
     '{"kind":"clutter","vars":["a","b","c","d","e"],"edges":[["a","b","c"],["b","c","d"],["c","d","e"]]}',

@@ -5,32 +5,23 @@ computations are validated against.  Reduced simplicial homology is
 computed from boundary-matrix ranks, level by level, from the top down
 (`_homology_dims`):
 
-- every map from triangles up is reduced on unit (+-1) pivots first,
-  which keeps its entries integers and removes a row and a column per
-  pivot, and only the columns with no unit entry left go to one dense
-  elimination.  The pivot columns are unit-triangular on their pivot
-  rows and the leftover columns vanish there, so the rank is the number
-  of pivots plus the rank of the leftover (see `_boundary_rank`).  Over
-  GF(2) and GF(3) every nonzero entry is +-1, so nothing is left over;
-- the map one level down skips the faces that are unit-pivot rows of
-  the map above ("clearing", Chen-Kerber 2011): the pivot columns are
+- every map from triangles up is ranked by one sparse elimination,
+  `_boundary_rank`, which pivots on a unit (+-1) entry where a column
+  has one and on its first nonzero entry where it has none.  A unit
+  pivot clears its row from a later column by a subtraction; any other
+  pivot p scales the column by p first, so no division is needed over
+  Q or GF(p).  The pivot columns are triangular with a nonzero diagonal
+  on their pivot rows, so the rank is the number of pivots.  Over GF(2)
+  and GF(3) every nonzero entry is +-1, so every pivot is a unit;
+- the map one level down skips the faces that are pivot rows of the
+  map above ("clearing", Chen-Kerber 2011): the pivot columns are
   boundaries, which the lower map kills, and with the unit vectors of
-  the other faces they form a basis, so the lower rank is unchanged.
-  Rows that only the dense elimination pivots on are not cleared;
+  the other faces they form a basis, so the lower rank is unchanged;
 - the map from edges to vertices is the signed incidence matrix of a
   graph, of rank |V| minus the number of components over every field,
   which one union-find pass over the uncleared edges counts;
 - the map from vertices to the empty face has rank 1 once there is a
   vertex.
-
-One fraction-free (Bareiss) elimination, `_rank`, serves both fields.
-Over the rationals each update is divided exactly by the previous pivot,
-which keeps the integer entries from growing.  Over GF(p) the same
-update runs with the previous pivot fixed at 1 and is reduced mod p:
-replacing a row r by p*r - f*q, where q is the pivot row and p its
-nonzero pivot, is an invertible row operation, so the rank is kept, and
-reduction mod p already keeps the entries small, so no exact division
-is needed.
 
 Faces are handled as integer bitmasks over vertex indices throughout.
 
@@ -106,42 +97,6 @@ def check_field(field) -> None:
             raise ValueError(f"{field} is not prime")
 
 
-def _rank(rows: list[list[int]], field) -> int:
-    """Rank of an integer matrix over the rationals (`field` None) or
-    GF(`field`), by Bareiss elimination of `rows` in place."""
-    # an entry divisible by p must read as zero in the pivot search
-    if field is not None:
-        for row in rows:
-            row[:] = [v % field for v in row]
-    nr = len(rows)
-    nc = len(rows[0]) if nr else 0
-    rank = 0
-    prev = 1
-    for col in range(nc):
-        piv = next((r for r in range(rank, nr) if rows[r][col]), None)
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        prow = rows[rank]
-        p = prow[col]
-        for r in range(rank + 1, nr):
-            row = rows[r]
-            f = row[col]
-            if field is None:
-                for c in range(col + 1, nc):
-                    row[c] = (row[c] * p - f * prow[c]) // prev
-            else:
-                for c in range(col + 1, nc):
-                    row[c] = (row[c] * p - f * prow[c]) % field
-            row[col] = 0
-        if field is None:
-            prev = p
-        rank += 1
-        if rank == nr:
-            break
-    return rank
-
-
 def _graph_rank(edges: list[int]) -> int:
     """Rank of the edges-to-vertices boundary map, the signed incidence
     matrix of a graph: |V| minus the number of components over every
@@ -165,51 +120,34 @@ def _graph_rank(edges: list[int]) -> int:
 
 def _boundary_rank(upper: list[int], field) -> tuple[int, dict]:
     """Rank of the boundary map on the faces `upper`, all of one
-    cardinality c >= 3, and its unit-pivot rows, keyed by face mask.
+    cardinality c >= 3, and its pivot rows, keyed by face mask.
 
     Each column is a sparse dict {face: +-1} over the faces of
     cardinality c - 1.  Columns are placed in turn, each reduced by the
     pivot columns found so far, oldest first.  A pivot column holds a
-    unit u = +-1 at its own row and 0 at every older pivot row; as
-    u * u = 1, subtracting col[row] * u times it clears that row with no
-    division, so entries stay integers over Q (over GF(p) they are
-    reduced mod p).  A reduced column with a unit entry becomes the next
-    pivot; one with none is set aside, and once every column is placed
-    the set-aside ones are reduced again against every pivot, so what is
-    left is 0 at every pivot row.  Restricted to the pivot rows the pivot
-    columns are unit-triangular, hence the rank is the number of pivots
-    plus the rank of that remainder, which `_rank` computes.  Over GF(2)
-    and GF(3) every nonzero entry is +-1, so nothing is left for `_rank`.
+    nonzero pivot p at its own row and 0 at every older pivot row.  To
+    clear that row from a column holding f there, the column takes
+    f * p times the pivot column off when p is a unit (p * p = 1), and
+    is scaled by p and takes f times it off otherwise; either way there
+    is no division, so entries stay integers over Q (over GF(p) they are
+    reduced mod p).  A reduced column that is not zero becomes the next
+    pivot, on its first unit (+-1) entry if it has one and on its first
+    nonzero entry if not.  Restricted to the pivot rows the pivot columns
+    are triangular with a nonzero diagonal, so the rank is the number of
+    pivots.  Over GF(2) and GF(3) every nonzero entry is +-1, so every
+    pivot is a unit.
 
     The pivot rows let the next map down skip their faces (clearing):
-    the pivot columns, unit-triangular on the pivot rows, and the unit
-    vectors of every other face of cardinality c - 1 form a basis, and
-    the boundary kills the pivot columns, which are boundaries; so that
-    map has the same rank on the other faces alone.  The rows a
-    set-aside column ends on are not unit pivots and are not returned.
+    the pivot columns, triangular on the pivot rows, and the unit vectors
+    of every other face of cardinality c - 1 form a basis, and the
+    boundary kills the pivot columns, which are boundaries; so that map
+    has the same rank on the other faces alone.
     """
     flip = 0 if field is None else field  # sign -> flip - sign swaps 1, -1
     minus = flip - 1
-    # the pivot column with its unit at each row, and its age
+    # the pivot column with its pivot at each row, and its age
     pivots: dict[int, dict[int, int]] = {}
     age: dict[int, int] = {}
-
-    def reduced(col: dict[int, int]) -> dict[int, int]:
-        while hits := col.keys() & pivots.keys():
-            row = min(hits, key=age.__getitem__)
-            piv = pivots[row]
-            f = col[row] * piv[row]
-            for r, v in piv.items():
-                x = col.get(r, 0) - f * v
-                if field is not None:
-                    x %= field
-                if x:
-                    col[r] = x
-                else:
-                    del col[r]
-        return col
-
-    rest = []
     for sigma in upper:
         col = {}
         sign, m = 1, sigma
@@ -218,19 +156,28 @@ def _boundary_rank(upper: list[int], field) -> tuple[int, dict]:
             col[sigma ^ low] = sign
             sign = flip - sign
             m ^= low
-        col = reduced(col)
-        row = next((r for r, x in col.items() if x == 1 or x == minus), None)
-        if row is not None:
+        while hits := col.keys() & pivots.keys():
+            row = min(hits, key=age.__getitem__)
+            piv = pivots[row]
+            p, f = piv[row], col[row]
+            if p == 1 or p == minus:
+                f *= p
+            else:  # scale by p, so that taking f times the pivot off clears the row
+                for r in col:
+                    col[r] = col[r] * p if field is None else col[r] * p % field
+            for r, v in piv.items():
+                x = col.get(r, 0) - f * v
+                if field is not None:
+                    x %= field
+                if x:
+                    col[r] = x
+                else:
+                    del col[r]
+        if col:
+            row = next((r for r, x in col.items() if x == 1 or x == minus), next(iter(col)))
             age[row] = len(pivots)
             pivots[row] = col
-        elif col:
-            rest.append(col)
-    rest = [col for col in map(reduced, rest) if col]
-    if not rest:
-        return len(pivots), pivots
-    rows = sorted({r for col in rest for r in col})
-    rank = _rank([[col.get(r, 0) for col in rest] for r in rows], field)
-    return len(pivots) + rank, pivots
+    return len(pivots), pivots
 
 
 def _homology_dims(levels: list[list[int]], field) -> list[int]:

@@ -115,7 +115,14 @@ def _order_join(node, deletion, link):
 
 
 def betti_from_order(ideal: MonomialIdeal, order: QuotientOrder) -> BettiTable:
-    """beta_{i, deg f + i} summed as binomials of the colon set sizes."""
+    """beta_{i, deg f + i} summed as binomials of the colon set sizes.
+
+    Raises ValueError unless `order` lists exactly the generators of
+    `ideal`; the sets of `order` are taken as given (see
+    `QuotientOrder.verify`).
+    """
+    if sorted(f.exponents for f in order.order) != sorted(ideal.exps):
+        raise ValueError("the order does not list the generators of the ideal")
     entries: dict[tuple[int, int], int] = {}
     for f, s in zip(order.order, order.sets):
         d = f.degree

@@ -10,6 +10,8 @@ from random import Random
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from sympy import GF, QQ
+from sympy.polys.matrices import DomainMatrix
 
 from kdecomp import (
     BettiTable,
@@ -28,7 +30,7 @@ from kdecomp import homology
 from kdecomp.cli import main
 from kdecomp.generators import random_complex, random_monomial_ideal, random_squarefree_ideal
 from kdecomp.complexes import _face_levels
-from kdecomp.homology import _homology_dims, _rank
+from kdecomp.homology import _boundary_rank, _homology_dims
 from kdecomp.monomials import MonomialIdeal, bits
 
 from conftest import ideal
@@ -142,48 +144,21 @@ def rp2_nonface_ideal():
     return stanley_reisner_ideal(SimplicialComplex.from_facets(ctx, RP2_FACETS))
 
 
-def rp2_boundary_matrices():
-    """The boundary matrices of the real projective plane, edges to
-    vertices and triangles to edges, with the alternating signs."""
-    faces = [sorted({c for f in RP2_FACETS for c in combinations(f, k)}) for k in (1, 2, 3)]
-    out = []
-    for lower, upper in zip(faces, faces[1:]):
-        row = {face: r for r, face in enumerate(lower)}
-        m = [[0] * len(upper) for _ in lower]
-        for col, face in enumerate(upper):
-            for pos in range(len(face)):
-                m[row[face[:pos] + face[pos + 1:]]][col] = (-1) ** pos
-        out.append(m)
-    return out
+RP2_MASKS = [sum(1 << v for v in f) for f in RP2_FACETS]
 
 
-def test_rank_matches_sympy_over_q_gf2_gf3():
-    sympy = pytest.importorskip("sympy")
-    from sympy.polys.matrices import DomainMatrix
-
-    rng = Random(53)
-    matrices = rp2_boundary_matrices()
-    for _ in range(300):
-        nr, nc = rng.randint(1, 7), rng.randint(1, 7)
-        if rng.random() < 0.5:
-            # an (nr x r)(r x nc) product has rank at most r
-            r = rng.randint(0, min(nr, nc) - 1)
-            a = [[rng.randint(-3, 3) for _ in range(r)] for _ in range(nr)]
-            b = [[rng.randint(-3, 3) for _ in range(nc)] for _ in range(r)]
-            m = [[sum(a[i][t] * b[t][j] for t in range(r)) for j in range(nc)]
-                 for i in range(nr)]
-        else:
-            m = [[rng.choice([0, 0, 0, 1, -1, 2, -2, 3, 6, -9]) for _ in range(nc)]
-                 for _ in range(nr)]
-        matrices.append(m)
-    for m in matrices:
-        exact = DomainMatrix.from_list(m, sympy.ZZ)
-        assert _rank([row[:] for row in m], None) == sympy.Matrix(m).rank()
-        for p in (2, 3):
-            assert _rank([row[:] for row in m], p) == exact.convert_to(sympy.GF(p)).rank()
-    # the triangles-to-edges map of RP^2 loses a rank in characteristic 2
-    d2 = rp2_boundary_matrices()[1]
-    assert (_rank([row[:] for row in d2], None), _rank([row[:] for row in d2], 2)) == (10, 9)
+def test_boundary_rank_of_rp2_takes_a_non_unit_pivot():
+    # the triangles-to-edges map of RP^2 loses a rank in characteristic 2;
+    # elsewhere its 2-torsion leaves a column whose only entries are +-2
+    for field, rank in ((None, 10), (5, 10), (2, 9)):
+        got, pivots = _boundary_rank(RP2_MASKS, field)
+        assert got == rank == len(pivots)
+        units = {1, -1 if field is None else field - 1}
+        non_units = [row for row, col in pivots.items() if col[row] not in units]
+        assert bool(non_units) == (field != 2)
+        # reduced H_1 and H_2 (entries 2 and 3) vanish except over GF(2)
+        dims = _homology_dims(_face_levels(RP2_MASKS), field)
+        assert dims == ([0, 0, 1, 1] if field == 2 else [0, 0, 0, 0])
 
 
 def test_koszul_equals_hochster_on_squarefree(ctx4):
@@ -363,9 +338,10 @@ def test_koszul_budget(ctx3):
 
 
 def dense_homology_dims(face_masks, field):
-    """Reduced homology dimensions from the full dense boundary matrix of
-    every level, each ranked by `_rank`: no cone short-cut, no closed
-    forms, no unit pivots."""
+    """Reduced homology dimensions from the full boundary matrix of every
+    level, each ranked by sympy's `DomainMatrix` over Q or GF(p): no cone
+    short-cut, no closed forms, no clearing, none of the oracle's pivots."""
+    domain = QQ if field is None else GF(field)
     levels = {}
     for m in face_masks:
         levels.setdefault(m.bit_count(), []).append(m)
@@ -376,11 +352,11 @@ def dense_homology_dims(face_masks, field):
     for c in range(1, len(levels)):
         lower, upper = levels[c - 1], levels[c]
         row = {m: r for r, m in enumerate(lower)}
-        matrix = [[0] * len(upper) for _ in lower]
+        matrix: dict[int, dict] = {}  # {row: {column: entry}}, as sympy's sparse form
         for col, sigma in enumerate(upper):
             for pos, v in enumerate(bits(sigma)):
-                matrix[row[sigma ^ 1 << v]][col] = (-1) ** pos
-        ranks[c] = _rank(matrix, field)
+                matrix.setdefault(row[sigma ^ 1 << v], {})[col] = domain((-1) ** pos)
+        ranks[c] = DomainMatrix(matrix, (len(lower), len(upper)), domain).rank()
     return [len(levels[c]) - ranks[c] - ranks[c + 1] for c in range(len(levels))]
 
 
@@ -411,9 +387,6 @@ def test_face_levels_group_the_closure(facets):
     assert _face_levels(facets) == levels
 
 
-RP2_MASKS = [sum(1 << v for v in f) for f in RP2_FACETS]
-
-
 @st.composite
 def facet_lists(draw):
     """Facet-mask lists on up to 8 vertices, not always antichains.  About
@@ -437,10 +410,11 @@ def facet_lists(draw):
 @example([1, 2, 4, 8])  # four isolated vertices
 @example([0b11, 0b110, 0b11000, 0b1100000, 0b10000000])  # three components
 @example(RP2_MASKS)
-# the triangle {3,4,5} gets a pivot row that a set-aside RP^2 column holds
+# {3,4,5} is ranked after the RP^2 triangles, and over Q and GF(5) its
+# column is scaled by the non-unit pivot they leave
 @example(RP2_MASKS + [0b111000])
 def test_homology_dims_match_dense_ranks(facets):
-    for field in (None, 2, 3):
+    for field in (None, 2, 3, 5):
         dims = _homology_dims(_face_levels(facets), field)
         assert dims == dense_homology_dims(closure(facets), field)
 
@@ -467,26 +441,8 @@ def cone_over(facets, apex):
 def test_reduced_homology_matches_dense_ranks(n, facets):
     ctx = VariableContext(tuple(f"v{i}" for i in range(n)))
     delta = SimplicialComplex.from_facets(ctx, [bits(f) for f in facets])
-    for field in (None, 2, 3):
+    for field in (None, 2, 3, 5):
         assert reduced_homology_dims(delta, field) == dense_homology_dims(closure(facets), field)
-
-
-def test_rp2_remainder_reaches_rank_over_q_only(monkeypatch):
-    calls = []
-
-    def counting_rank(rows, field):
-        calls.append(field)
-        return _rank(rows, field)
-
-    monkeypatch.setattr(homology, "_rank", counting_rank)
-    levels = _face_levels(RP2_MASKS)
-    # reduced H_1 and H_2 (entries 2 and 3) vanish over Q and not over GF(2)
-    dims = _homology_dims(levels, None)
-    assert dims == [0, 0, 0, 0] == dense_homology_dims(closure(RP2_MASKS), None)
-    assert calls == [None]
-    calls.clear()
-    assert _homology_dims(levels, 2) == [0, 0, 1, 1]
-    assert calls == []
 
 
 def test_principal_nonface_ideal_on_twelve_variables(tmp_path, capsys):

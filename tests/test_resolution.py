@@ -3,8 +3,11 @@ from __future__ import annotations
 from random import Random
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from kdecomp import (
+    MonomialIdeal,
+    QuotientOrder,
     SimplicialComplex,
     VariableContext,
     ZeroIdealError,
@@ -129,6 +132,18 @@ def test_betti_from_order_goldens(ctx3):
     assert dict(t3.items()) == {(0, 3): 1}
 
 
+def test_betti_from_order_reads_its_ideal(ctx3):
+    tri = ideal(ctx3, "x*y", "x*z", "y*z")
+    other = ideal(ctx3, "x^2", "x*y")
+    with pytest.raises(ValueError, match="does not list the generators"):
+        betti_from_order(tri, linear_quotients_order(other))
+    # a proper part of the generators is refused too
+    order = linear_quotients_order(tri)
+    part = QuotientOrder(order.order[:2], order.sets[:2])
+    with pytest.raises(ValueError, match="does not list the generators"):
+        betti_from_order(tri, part)
+
+
 def test_betti_recursive_goldens(ctx3):
     cert = k_decomposable_ideal(ideal(ctx3, "x*y", "x*z", "y*z"), 0)
     t = betti_recursive(cert)
@@ -151,6 +166,31 @@ def test_three_way_agreement_random(ctx4):
         t_oracle = betti_koszul(i)
         assert t_rec == t_ord == t_oracle
         found += 1
+
+
+@st.composite
+def small_ideals(draw):
+    """Nonzero ideals on 1-6 variables from 2-6 distinct words in the
+    variables, each of length d or d + 1 for some d <= 3.  Distinct words
+    of one length never divide each other, so few generators are lost to
+    minimalization, and most of these ideals decompose."""
+    n = draw(st.integers(1, 6))
+    d = draw(st.integers(1, 3))
+    word = st.lists(st.integers(0, n - 1), min_size=d, max_size=d + 1).map(sorted).map(tuple)
+    words = draw(st.lists(word, min_size=2, max_size=6, unique=True))
+    ctx = VariableContext(tuple(f"x{i}" for i in range(n)))
+    return MonomialIdeal.from_monomials(ctx, [ctx.monomial(map(w.count, range(n))) for w in words])
+
+
+@settings(max_examples=400, derandomize=True, database=None, deadline=None)
+@given(small_ideals())
+def test_three_way_betti_agreement(i):
+    cert = k_decomposable_ideal(i, -1)
+    assume(cert is not None)
+    oracle = betti_koszul(i)
+    assert betti_recursive(cert) == oracle
+    assert betti_from_order(i, order_from_certificate(cert)) == oracle
+    assert pd_reg_from_certificate(cert) == (oracle.pd, oracle.reg)
 
 
 def test_pd_reg_from_certificate(ctx3):

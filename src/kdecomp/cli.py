@@ -49,14 +49,22 @@ EXIT_UNDECIDED = 3
 
 
 def _read_document(path: str) -> doc.ParsedDocument:
-    if path == "-":
-        text = sys.stdin.read()
-    else:
-        try:
+    name = "stdin" if path == "-" else path
+    try:
+        if path == "-":
+            # stdin as bytes where it has them, so it is decoded as strictly
+            # as a file: in UTF-8 mode its text layer escapes bad bytes instead
+            raw = getattr(sys.stdin, "buffer", None)
+            text = sys.stdin.read() if raw is None else raw.read().decode("utf-8")
+        else:
             with open(path, "r", encoding="utf-8") as fh:
                 text = fh.read()
-        except OSError as exc:
-            raise DocumentError(f"cannot read {path}: {exc.strerror}") from None
+    except OSError as exc:
+        raise DocumentError(f"cannot read {name}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise DocumentError(
+            f"cannot read {name}: not UTF-8 text ({exc.reason} at byte {exc.start})"
+        ) from None
     parsed = doc.parse_document(text)
     for warning in parsed.warnings:
         print(f"warning: {warning}", file=sys.stderr)

@@ -177,21 +177,21 @@ def apply_trace(clutter: Clutter, trace: Iterable[MinorStep]) -> Clutter:
     return out
 
 
-def is_chordal(
-    clutter: Clutter,
-    memo: dict | None = None,
-    vertex_budget: int = CHORDALITY_VERTEX_BUDGET,
-) -> tuple[bool, MinorTrace | None]:
+def is_chordal(clutter: Clutter, memo: dict | None = None) -> tuple[bool, MinorTrace | None]:
     """Decide whether every minor has a simplicial vertex.
 
     Returns (True, None) or (False, trace) where replaying the trace from
     the input reaches a minor with no simplicial vertex.  Verdicts are
     memoized on the pair (vertex mask, sorted edge-mask tuple); a shared
     `memo` dictionary makes repeated queries over overlapping minors cheap.
+    Raises BudgetExceededError on more than CHORDALITY_VERTEX_BUDGET
+    vertices, a bound read at each call.
     """
     n = clutter.vertex_mask.bit_count()
-    if n > vertex_budget:
-        raise BudgetExceededError(f"chordality budget is {vertex_budget} vertices, got {n}")
+    if n > CHORDALITY_VERTEX_BUDGET:
+        raise BudgetExceededError(
+            f"chordality budget is {CHORDALITY_VERTEX_BUDGET} vertices, got {n}"
+        )
     if memo is None:
         memo = {}
     witness = _chordal_rec(clutter.vertex_mask, clutter.edge_masks, memo)

@@ -3,7 +3,9 @@
 Two independent routes produce the graded Betti numbers of a
 decomposable ideal: the binomial formula over a linear-quotient order,
 and a recursion over the decomposition certificate.  Both are validated
-against the homology oracle elsewhere.
+against the homology oracle elsewhere.  There is no separate search for
+linear quotients: an order is read off the certificate of the ideal
+search, which finds one exactly when an order exists.
 
 Conventions used as recursion base cases (standard Koszul facts):
 reg(R/0) = pd(R/0) = 0, and for an ideal generated by s distinct
@@ -17,7 +19,8 @@ from dataclasses import dataclass
 from .betti import BettiTable, binom
 from .complexes import SimplicialComplex, alexander_dual_ideal
 from .decomposition import (
-    ComplexCertificate, IdealCertificate, _verified_complex_fold, _verified_ideal_fold
+    ComplexCertificate, IdealCertificate, _verified_complex_fold, _verified_ideal_fold,
+    k_decomposable_ideal,
 )
 from .errors import InvalidCertificateError, ZeroIdealError
 from .homology import betti_hochster
@@ -55,39 +58,26 @@ def colon_is_variable_generated(prefix, f: Monomial) -> frozenset[int] | None:
 
 
 def linear_quotients_order(ideal: MonomialIdeal) -> QuotientOrder | None:
-    """Greedy backtracking search for an order of linear quotients.
+    """An order of linear quotients read off the shedding search, or None
+    when the ideal has none (a definitive negative).
 
-    Generators are tried in the canonical listing order; the first
-    admissible extension is taken and failed prefixes are memoized, so
-    a None return is a definitive negative.
+    An ideal has linear quotients exactly when `k_decomposable_ideal` at
+    k = -1 finds a certificate.  A certificate gives an order through
+    `order_from_certificate`.  Conversely, let g_1, ..., g_m be an order
+    whose last colon (g_1, ..., g_{m-1}) : g_m is generated by the x_i
+    with i in S, and set u_i = (g_m)_i + 1 on S.  Each g_j : g_m with
+    j < m has some x_i dividing it, so g_{j,i} >= u_i and I_u = (g_m).
+    Each x_i is some g_j : g_m, so g_j has g_{j,i} = u_i: u_i is one of
+    the exponents the search tries, g_j is the witness in I^u, and u
+    sheds I.  I^u is the prefix ideal, which has linear quotients, so
+    induction on m finishes.
+
+    Raises BudgetExceededError when the search runs out of nodes.
     """
     if ideal.is_zero:
         raise ZeroIdealError("the zero ideal has no generators to order")
-    gens = ideal.gens
-    dead: set[int] = set()  # placed generators, bit j for gens[j]
-
-    def extend(prefix: list[Monomial], sets: list[frozenset[int]], placed: int):
-        if len(prefix) == len(gens):
-            return QuotientOrder(tuple(prefix), tuple(sets))
-        if placed in dead:
-            return None
-        for j, g in enumerate(gens):
-            if placed >> j & 1:
-                continue
-            s = colon_is_variable_generated(prefix, g)
-            if s is None:
-                continue
-            prefix.append(g)
-            sets.append(s)
-            found = extend(prefix, sets, placed | 1 << j)
-            if found is not None:
-                return found
-            prefix.pop()
-            sets.pop()
-        dead.add(placed)
-        return None
-
-    return extend([], [], 0)
+    cert = k_decomposable_ideal(ideal)
+    return None if cert is None else order_from_certificate(cert)
 
 
 def order_from_certificate(cert: IdealCertificate) -> QuotientOrder:

@@ -148,9 +148,12 @@ def test_is_chordal_goldens(ctx3, ctx4):
     assert is_chordal(edgeless) == (True, None)
 
 
-def test_is_chordal_budget(ctx3):
-    with pytest.raises(BudgetExceededError):
-        is_chordal(triangle(ctx3), vertex_budget=2)
+def test_is_chordal_budget(ctx3, monkeypatch):
+    from kdecomp import clutters
+
+    monkeypatch.setattr(clutters, "CHORDALITY_VERTEX_BUDGET", 2)
+    with pytest.raises(BudgetExceededError, match="budget is 2 vertices, got 3"):
+        is_chordal(triangle(ctx3))
 
 
 def test_witness_replays_to_bad_minor():

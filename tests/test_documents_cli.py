@@ -353,6 +353,23 @@ def test_cli_parse_error_exit(capsys, monkeypatch):
     assert "syntax error" in err
 
 
+def test_cli_undecodable_input_exit(tmp_path, capsys, monkeypatch):
+    import io
+
+    bad = b"\xff\xfe{}"
+    path = tmp_path / "bad.json"
+    path.write_bytes(bad)
+    code, out, err = run_cli(capsys, ["dual", str(path)])
+    assert (code, out) == (2, "")
+    assert err == f"error: cannot read {path}: not UTF-8 text (invalid start byte at byte 0)\n"
+    # stdin as Python sets it up in UTF-8 mode, which escapes bad bytes
+    stdin = io.TextIOWrapper(io.BytesIO(bad), encoding="utf-8", errors="surrogateescape")
+    monkeypatch.setattr(sys, "stdin", stdin)
+    code, out, err = run_cli(capsys, ["dual"])
+    assert (code, out) == (2, "")
+    assert err == "error: cannot read stdin: not UTF-8 text (invalid start byte at byte 0)\n"
+
+
 def test_cli_usage_exit():
     with pytest.raises(SystemExit) as err:
         main(["betti"])  # missing required --method

@@ -311,6 +311,23 @@ def test_bight_equals_pd_for_decomposable(ctx4):
         found += 1
 
 
+def test_decomposable_implies_linear_quotients(ctx4):
+    rng = Random(107)
+    found = 0
+    while found < 30:
+        i = random_monomial_ideal(rng, ctx4, 6, 2)
+        cert = k_decomposable_ideal(i, -1)
+        if cert is None:
+            continue
+        order = linear_quotients_order(i)
+        assert order is not None
+        assert len(order.order) == len(i.gens)
+        assert set(order.order) == set(i.gens)
+        for j, g in enumerate(order.order):
+            assert colon_is_variable_generated(order.order[:j], g) == order.sets[j]
+        found += 1
+
+
 def test_betti_table_render(ctx3):
     table = betti_hochster(ideal(ctx3, "x*y", "x*z", "y*z"))
     assert table.render() == "        0  1\ntotal:  3  2\n    2:  3  2"

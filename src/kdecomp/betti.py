@@ -64,39 +64,18 @@ class BettiTable:
         if not self._entries:
             return "(empty table)"
         cols = range(self.pd + 1)
-        rows = range(
-            min(j - i for i, j in self._entries),
-            max(j - i for i, j in self._entries) + 1,
-        )
-        grid = {
-            (r, i): str(self[(i, i + r)]) if self[(i, i + r)] else "."
-            for r in rows
-            for i in cols
-        }
-        totals = {i: str(self.total(i)) for i in cols}
-        width = max(
-            max(len(v) for v in grid.values()),
-            max(len(t) for t in totals.values()),
-            max(len(str(i)) for i in cols),
-        )
-        label_width = max(len("total:"), *(len(f"{r}:") for r in rows))
-        lines = [
-            " " * label_width
-            + "  "
-            + "  ".join(f"{i:>{width}}" for i in cols)
+        shifts = [j - i for i, j in self._entries]
+        rows = [("", [str(i) for i in cols]), ("total:", [str(self.total(i)) for i in cols])]
+        rows += [
+            (f"{r}:", [str(self[(i, i + r)] or ".") for i in cols])
+            for r in range(min(shifts), max(shifts) + 1)
         ]
-        lines.append(
-            f"{'total:':>{label_width}}"
-            + "  "
-            + "  ".join(f"{totals[i]:>{width}}" for i in cols)
+        width = max(len(cell) for _, cells in rows for cell in cells)
+        label_width = max(len(label) for label, _ in rows)
+        return "\n".join(
+            f"{label:>{label_width}}  " + "  ".join(f"{cell:>{width}}" for cell in cells)
+            for label, cells in rows
         )
-        for r in rows:
-            lines.append(
-                f"{f'{r}:':>{label_width}}"
-                + "  "
-                + "  ".join(f"{grid[(r, i)]:>{width}}" for i in cols)
-            )
-        return "\n".join(lines)
 
     def __repr__(self) -> str:
         return f"BettiTable({dict(self.items())!r})"

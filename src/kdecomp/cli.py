@@ -172,7 +172,7 @@ def _cmd_invariants(args):
                 out["bight"] = res.bight(ideal)
     else:
         if parsed.kind == "complex":
-            ideal, name = cx.stanley_reisner_ideal(parsed.value), "nonface"
+            ideal, name = ho.oracle_nonface_ideal(parsed.value), "nonface"
         else:
             ideal, name = cl.edge_ideal(parsed.value), "edge"
         reg, pd = ho.oracle_quotient_reg_pd(ideal, field)

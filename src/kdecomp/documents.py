@@ -3,7 +3,10 @@
 Documents are JSON objects with an explicit variable list; the variable
 order is part of the contract (it drives lexicographic tie-breaking).
 Monomials are written either as strings like ``"x^2*y"`` or as exponent
-lists; facets and edges as lists of variable names.
+lists; facets and edges as lists of variable names.  A variable name is
+not empty or ``"1"``, has no surrounding whitespace and holds no ``*``,
+``^`` or ``,``: monomial strings and the CLI's vertex lists could not
+name it otherwise.
 """
 
 from __future__ import annotations
@@ -85,6 +88,12 @@ def parse_object(obj) -> ParsedDocument:
     variables = obj.get("vars")
     if not isinstance(variables, list) or not all(isinstance(v, str) for v in variables):
         raise DocumentError('"vars" must be a list of variable names')
+    for name in variables:
+        if name in ("", "1") or name != name.strip() or any(c in name for c in "*^,"):
+            raise DocumentError(
+                f"variable name {name!r} cannot be written in a document: a name must"
+                " not be empty or '1', have surrounding whitespace, or hold '*', '^' or ','"
+            )
     try:
         ctx = VariableContext(tuple(variables))
     except ValueError as exc:
@@ -133,7 +142,8 @@ def parse_object(obj) -> ParsedDocument:
     return ParsedDocument(kind, value, warnings)
 
 def emit_object(value) -> dict:
-    """Document form of a core value; parse(emit(v)) is semantically v."""
+    """Document form of a core value; parse(emit(v)) is semantically v, or
+    a DocumentError when a variable name cannot be written (see above)."""
     if isinstance(value, MonomialIdeal):
         return {
             "kind": "ideal",

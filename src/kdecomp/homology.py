@@ -63,15 +63,15 @@ it.
 
 from __future__ import annotations
 
-from functools import reduce
-from itertools import product
+from functools import lru_cache, reduce
+from math import isqrt
 from operator import and_, or_
 from threading import Lock
 
 from .betti import BettiTable
 from .complexes import SimplicialComplex, _face_levels, stanley_reisner_ideal
 from .errors import BudgetExceededError, ZeroIdealError
-from .monomials import MonomialIdeal, bits
+from .monomials import MonomialIdeal, bits, mask_of
 
 VERTEX_BUDGET = 20
 LCM_DEGREE_BUDGET = 24
@@ -79,22 +79,29 @@ LCM_DEGREE_BUDGET = 24
 FIELD_BOUND = 2**31
 
 
-def _check_field_range(field) -> None:
-    """`check_field` without trial division, run before lookups: 2.0 would find GF(2) tables."""
+def check_field(field) -> None:
+    """Raise ValueError unless `field` is None (the rationals) or a prime
+    below FIELD_BOUND.  The trial division is cached (`_is_prime`), so a
+    table found in the oracle cache pays for none of it."""
     if field is None:
         return
     if not isinstance(field, int) or field < 2:
         raise ValueError("field must be None (rationals) or a prime p")
     if field >= FIELD_BOUND:
         raise ValueError(f"field must be a prime below {FIELD_BOUND}, got {field}")
+    if not _is_prime(field):
+        raise ValueError(f"{field} is not prime")
 
 
-def check_field(field) -> None:
-    """Raise ValueError unless `field` is None (the rationals) or a prime below FIELD_BOUND."""
-    _check_field_range(field)
-    for d in range(2, int(field**0.5) + 1 if field else 0):
-        if field % d == 0:
-            raise ValueError(f"{field} is not prime")
+@lru_cache(maxsize=64)
+def _is_prime(p: int) -> bool:
+    return all(p % d for d in range(2, isqrt(p) + 1))
+
+
+def _check_vertex_budget(size: int) -> None:
+    """Refuse a Hochster table on more than VERTEX_BUDGET variables."""
+    if size > VERTEX_BUDGET:
+        raise BudgetExceededError(f"oracle budget is {VERTEX_BUDGET} vertices, got {size}")
 
 
 def _graph_rank(edges: list[int]) -> int:
@@ -262,36 +269,33 @@ def _oracle_table(gens: tuple, field, route: str) -> BettiTable:
     route, cached per route, generators and field.
 
     `gens` are the sorted minimal support masks for "hochster" and the
-    exponent tuples of the minimal generators for "koszul" and "box".
-    Every route runs the same loop over multidegrees a; only the face
-    test on the subsets s of supp(a) and the homological index differ:
+    exponent tuples of the minimal generators for "koszul".  Both routes
+    run the same loop over multidegrees a; only the face test on the
+    subsets s of supp(a) and the homological index differ:
 
     - "hochster" (squarefree ideals): s is a face when it contains no
       generator support, and degree c - 1 homology feeds index
       |a| - c - 1.
-    - "koszul" and "box": s is a face when x^(a-s) is in the ideal,
-      that is when some generator g <= a is below a_i at every i in s;
-      degree c - 1 homology feeds index c.
+    - "koszul": s is a face when x^(a-s) is in the ideal, that is when
+      some generator g <= a is below a_i at every i in s; degree c - 1
+      homology feeds index c.
 
     Both scan the lcm lattice of the generators, where all nonzero Betti
     numbers lie (Gasharov-Peeva-Welker); for "hochster" it is the set of
-    unions of generator supports.  "box" scans every a below the
-    generator lcm instead.
+    unions of generator supports.
     """
-    _check_field_range(field)
+    # before the lookup: 2.0 == 2 would find the GF(2) tables
+    check_field(field)
     key = (route, gens, field)
     cached = _oracle_cache.get(key)
     if cached is not None:
         return cached
-    check_field(field)
     if not gens:
         raise ZeroIdealError("Betti numbers need a nonzero ideal")
 
     hochster = route == "hochster"
     if hochster:
-        size = reduce(or_, gens).bit_count()
-        if size > VERTEX_BUDGET:
-            raise BudgetExceededError(f"oracle budget is {VERTEX_BUDGET} vertices, got {size}")
+        _check_vertex_budget(reduce(or_, gens).bit_count())
         degrees = _lcm_closure(gens, or_)
         levels = _nonface_levels(gens)
     else:
@@ -300,10 +304,7 @@ def _oracle_table(gens: tuple, field, route: str) -> BettiTable:
             raise BudgetExceededError(
                 f"oracle lcm-degree budget is {LCM_DEGREE_BUDGET}, got {sum(lcm)}"
             )
-        if route == "box":
-            degrees = product(*(range(e + 1) for e in lcm))
-        else:
-            degrees = _lcm_closure(gens, lambda a, b: tuple(map(max, a, b)))
+        degrees = _lcm_closure(gens, lambda a, b: tuple(map(max, a, b)))
 
     entries: dict[tuple[int, int], int] = {}
     for a in degrees:
@@ -352,39 +353,29 @@ def hochster_from_masks(masks: tuple[int, ...], field=None) -> BettiTable:
     return _oracle_table(masks, field, "hochster")
 
 
-def _support_masks(ideal: MonomialIdeal) -> tuple[int, ...]:
-    """The ascending support masks of a squarefree ideal's generators."""
-    return tuple(sorted(sum(e << v for v, e in enumerate(g)) for g in ideal.exps))
-
-
 def betti_hochster(ideal: MonomialIdeal, field=None) -> BettiTable:
     """Graded Betti numbers of a squarefree ideal by Hochster's formula
     (see `hochster_from_masks`)."""
     if not ideal.is_squarefree:
         raise ValueError("this oracle needs a squarefree ideal")
-    return hochster_from_masks(_support_masks(ideal), field)
+    masks = sorted(sum(e << v for v, e in enumerate(g)) for g in ideal.exps)
+    return hochster_from_masks(tuple(masks), field)
 
 
-def betti_koszul(
-    ideal: MonomialIdeal, field=None, all_multidegrees: bool = False
-) -> BettiTable:
+def betti_koszul(ideal: MonomialIdeal, field=None) -> BettiTable:
     """Graded Betti numbers of an arbitrary monomial ideal.
 
     For each candidate multidegree a the Betti number in that degree is a
     reduced homology dimension of the complex of squarefree monomials s
     with x^a / x^s in the ideal.  Multidegrees outside the closure of the
-    generator degrees under componentwise max contribute nothing; the
-    `all_multidegrees` switch scans the full box below the generator lcm
-    instead, as a self-check.
+    generator degrees under componentwise max contribute nothing.
     """
-    return _oracle_table(ideal.exps, field, "box" if all_multidegrees else "koszul")
+    return _oracle_table(ideal.exps, field, "koszul")
 
 
 def oracle_ideal_table(ideal: MonomialIdeal, field=None) -> BettiTable:
     """Ground-truth table: induced-subcomplex route when squarefree."""
-    if ideal.is_squarefree:
-        return hochster_from_masks(_support_masks(ideal), field)
-    return betti_koszul(ideal, field)
+    return (betti_hochster if ideal.is_squarefree else betti_koszul)(ideal, field)
 
 
 def oracle_quotient_reg_pd(ideal: MonomialIdeal, field=None) -> tuple[int, int]:
@@ -396,8 +387,25 @@ def oracle_quotient_reg_pd(ideal: MonomialIdeal, field=None) -> tuple[int, int]:
     return (table.reg - 1, table.pd + 1)
 
 
+def oracle_nonface_ideal(delta: SimplicialComplex, ambient=None) -> MonomialIdeal:
+    """`complexes.stanley_reisner_ideal(delta, ambient)`, refused first
+    when the Hochster oracle's vertex budget could not admit it.
+
+    The minimal nonfaces can be exponentially many, but the variables
+    they use are read off the facets: a vertex in every facet is in no
+    minimal nonface, and a vertex v outside a facet F is in each minimal
+    nonface inside F + v, which is no face as F is maximal.  So the
+    ideal's variables are the ambient vertices outside the intersection
+    of the facets, and the budget is checked before any nonface is found.
+    """
+    if not delta.is_void:  # the void complex keeps its own error
+        x = delta.vertex_mask if ambient is None else mask_of(ambient)
+        _check_vertex_budget((x & ~reduce(and_, delta.facet_masks)).bit_count())
+    return stanley_reisner_ideal(delta, ambient)
+
+
 def oracle_complex_reg_pd(
     delta: SimplicialComplex, ambient=None, field=None
 ) -> tuple[int, int]:
     """(reg, pd) of the quotient by the nonface ideal of `delta`."""
-    return oracle_quotient_reg_pd(stanley_reisner_ideal(delta, ambient), field)
+    return oracle_quotient_reg_pd(oracle_nonface_ideal(delta, ambient), field)

@@ -5,8 +5,9 @@ import sys
 from random import Random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from kdecomp import DocumentError, ImproperIdealError, SimplicialComplex
+from kdecomp import Clutter, DocumentError, ImproperIdealError, MonomialIdeal, SimplicialComplex
 from kdecomp.cli import main
 from kdecomp.documents import (
     certificate_text,
@@ -16,6 +17,7 @@ from kdecomp.documents import (
     parse_object,
 )
 from kdecomp.generators import random_clutter, random_complex, random_monomial_ideal
+from kdecomp.monomials import VariableContext
 
 from conftest import ideal
 
@@ -110,6 +112,65 @@ def test_degenerate_complex_round_trip(ctx3):
         SimplicialComplex.irrelevant(ctx3, [0, 1, 2]),
     ):
         assert parse_object(emit_object(value)).value == value
+
+
+def writable(name):
+    return name not in ("", "1") and name == name.strip() and not set(name) & set("*^,")
+
+
+@st.composite
+def named_values(draw):
+    """Ideals, complexes and clutters on 2 to 4 variables whose names are
+    drawn from letters, the document syntax's own characters and spaces;
+    about half the draws keep to "a", "b", "1" and inner spaces."""
+    alphabet = draw(st.sampled_from(["ab1 ", "ab1*^, "]))
+    name = st.text(alphabet, max_size=3)
+    if alphabet == "ab1 ":
+        name = name.map(str.strip).filter(lambda s: s not in ("", "1"))
+    names = draw(st.lists(name, min_size=2, max_size=4, unique=True))
+    ctx, n = VariableContext(tuple(names)), len(names)
+    kind = draw(st.sampled_from(["ideal", "complex", "clutter"]))
+    if kind == "ideal":
+        row = st.lists(st.integers(0, 2), min_size=n, max_size=n).filter(any)
+        return MonomialIdeal.from_monomials(ctx, map(ctx.monomial, draw(st.lists(row, max_size=4))))
+    size = 0 if kind == "complex" else 2
+    sets = draw(st.lists(st.sets(st.integers(0, n - 1), min_size=size), max_size=4))
+    vertices = draw(st.sets(st.integers(0, n - 1)))
+    if kind == "complex":
+        return SimplicialComplex.from_facets(ctx, sets, vertices=vertices)
+    return Clutter.from_edges(ctx, sets, vertices=vertices)
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(named_values())
+def test_emitted_documents_parse_back_or_are_refused(value):
+    text = json.dumps(emit_object(value))
+    if all(map(writable, value.ctx.names)):
+        assert parse_document(text).value == value
+    else:
+        with pytest.raises(DocumentError, match="cannot be written"):
+            parse_document(text)
+
+
+@pytest.mark.parametrize(
+    "document, name",
+    [
+        # read as the generator a*b, whose dual is (a, b)
+        ('{"kind":"ideal","vars":["a*b","a","b"],"gens":["a*b"]}', "'a*b'"),
+        # dual --json emits "a*b*a", which reads back as a^2*b
+        ('{"kind":"ideal","vars":["a*b","a","b"],"gens":[[1,0,0],[0,1,1]]}', "'a*b'"),
+        # emitted as the generator "1", the unit ideal
+        ('{"kind":"ideal","vars":["1","c"],"gens":[[1,0]]}', "'1'"),
+        ('{"kind":"complex","vars":["x^2","y"],"facets":[["x^2"]]}', "'x^2'"),
+        ('{"kind":"clutter","vars":["x,y","z"],"edges":[["x,y","z"]]}', "'x,y'"),
+        ('{"kind":"clutter","vars":[" x","z"],"edges":[[" x","z"]]}', "' x'"),
+        ('{"kind":"complex","vars":["","z"],"facets":[["z"]]}', "''"),
+    ],
+)
+def test_cli_refuses_names_documents_cannot_write(capsys, monkeypatch, document, name):
+    code, out, err = run_cli(capsys, ["dual"], document, monkeypatch)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: variable name {name} cannot be written") and err.count("\n") == 1
 
 
 def run_cli(capsys, argv, stdin_text=None, monkeypatch=None):

@@ -4,7 +4,8 @@ import json
 import sys
 import threading
 import time
-from itertools import combinations
+from functools import lru_cache
+from itertools import combinations, product
 from math import comb
 from random import Random
 
@@ -168,7 +169,30 @@ def test_koszul_equals_hochster_on_squarefree(ctx4):
         for field in (None, 2):
             table = betti_hochster(i, field)
             assert betti_koszul(i, field) == table
-            assert betti_koszul(i, field, all_multidegrees=True) == table
+            assert koszul_by_box(i, field) == table
+
+
+def koszul_by_box(monomial_ideal, field=None):
+    """The upper Koszul sum over every multidegree a below the generator
+    lcm, not only its lattice, with no cone short-cut: the complex at a is
+    generated by supp(a) - w over the walls w, the variables where a
+    generator g <= a reaches a."""
+    gens = monomial_ideal.exps
+    entries = {}
+    for a in product(*(range(e + 1) for e in map(max, zip(*gens)))):
+        supp = sum(1 << v for v, e in enumerate(a) if e)
+        walls = [
+            sum(1 << v for v, (x, y) in enumerate(zip(g, a)) if x == y > 0)
+            for g in gens
+            if all(x <= y for x, y in zip(g, a))
+        ]
+        if walls:  # else the void complex, with no homology
+            dims = _homology_dims(_face_levels([supp & ~w for w in walls]), field)
+            for c, h in enumerate(dims):
+                key = (c, sum(a))
+                entries[key] = entries.get(key, 0) + h
+    # BettiTable drops the zero counts
+    return BettiTable(entries)
 
 
 def hochster_by_subsets(squarefree, field=None):
@@ -223,11 +247,11 @@ def test_koszul_lattice_scan_equals_full_scan(ctx3, ctx4):
     rng = Random(29)
     for _ in range(25):
         i = random_monomial_ideal(rng, ctx3, 4, 2)
-        assert betti_koszul(i) == betti_koszul(i, all_multidegrees=True)
+        assert betti_koszul(i) == koszul_by_box(i)
     for _ in range(10):
         i = random_monomial_ideal(rng, ctx4, 5, 2)
         for field in (None, 3):
-            assert betti_koszul(i, field) == betti_koszul(i, field, all_multidegrees=True)
+            assert betti_koszul(i, field) == koszul_by_box(i, field)
 
 
 def test_field_independence_for_linear_quotient_ideals(ctx4):
@@ -283,15 +307,53 @@ def test_cached_table_skips_trial_division(monkeypatch):
     # where 2.0 == 2 would otherwise find the GF(2) table
     ctx = VariableContext.of("a", "b", "c")
     i = ideal(ctx, "a*b", "b*c")
-    check, fields = homology.check_field, []
-    monkeypatch.setattr(homology, "check_field", lambda f: (fields.append(f), check(f))[1])
+    divided, is_prime = [], homology._is_prime.__wrapped__
+
+    def trial_division(p):
+        divided.append(p)
+        return is_prime(p)
+
+    monkeypatch.setattr(homology, "_is_prime", lru_cache(maxsize=64)(trial_division))
+    monkeypatch.setattr(homology, "_oracle_cache", {})
     table = betti_hochster(i, 2**31 - 1)
-    checked = len(fields)
+    assert divided == [2**31 - 1]
     assert betti_hochster(i, 2**31 - 1) == table
-    assert len(fields) == checked
+    assert divided == [2**31 - 1]
     betti_hochster(i, 2)
     with pytest.raises(ValueError):
         betti_hochster(i, 2.0)
+
+
+def test_budget_is_checked_before_the_nonfaces(tmp_path, capsys, monkeypatch):
+    # facets X - {a_i, b_i}: 2^m minimal nonfaces, one from each pair, on
+    # 2m vertices; the budget is read off the facets before any is found
+    m = 16
+    names = [f"{ab}{i}" for i in range(m) for ab in "ab"]
+    facets = [[v for v in names if v[1:] != str(i)] for i in range(m)]
+    ctx = VariableContext(tuple(names))
+    delta = SimplicialComplex.from_facets(ctx, [[ctx.index(v) for v in f] for f in facets])
+    path = tmp_path / "pairs.json"
+    # a simplex has the zero nonface ideal at any size, and the void
+    # complex keeps its usage error
+    simplex = SimplicialComplex.from_facets(ctx, [range(2 * m)])
+    assert homology.oracle_complex_reg_pd(simplex) == (0, 0)
+    path.write_text(json.dumps({"kind": "complex", "vars": names, "facets": []}))
+    assert main(["invariants", str(path)]) == 2
+    assert capsys.readouterr().err == "error: the void complex has the unit nonface ideal\n"
+
+    def enumerate_nonfaces(sets):
+        raise AssertionError("minimal nonfaces enumerated past the budget")
+
+    monkeypatch.setattr("kdecomp.complexes._minimal_transversals", enumerate_nonfaces)
+    path.write_text(json.dumps({"kind": "complex", "vars": names, "facets": facets}))
+    assert main(["invariants", str(path)]) == 3
+    assert capsys.readouterr() == ("", "undecided: oracle budget is 20 vertices, got 32\n")
+    with pytest.raises(BudgetExceededError, match="got 32"):
+        homology.oracle_complex_reg_pd(delta)
+    # ambient vertices outside the complex are generators too: 21 > 20
+    small = SimplicialComplex.from_facets(ctx, [[0, 1, 2]])
+    with pytest.raises(BudgetExceededError, match="got 21"):
+        homology.oracle_complex_reg_pd(small, ambient=range(24))
 
 
 def test_oracle_cache_is_bounded(ctx3, monkeypatch):

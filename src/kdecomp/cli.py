@@ -157,32 +157,25 @@ def _cmd_decompose(args):
 def _cmd_invariants(args):
     parsed = _read_document(args.file)
     field = _parse_field(args.field)
-    notes: list[str] = []
     if parsed.kind == "ideal":
         ideal: MonomialIdeal = parsed.value
-        out: dict = {"kind": "ideal"}
-        if ideal.is_zero:
-            notes.append("conventions: reg(R/0) = 0 and pd(R/0) = 0")
-            out["quotient"] = {"reg": 0, "pd": 0}
-        else:
-            table = ho.oracle_ideal_table(ideal, field)
-            out["ideal"] = {"reg": table.reg, "pd": table.pd}
-            out["quotient"] = {"reg": table.reg - 1, "pd": table.pd + 1}
-            if ideal.is_squarefree:
-                out["bight"] = res.bight(ideal)
+        zero_note = "conventions: reg(R/0) = 0 and pd(R/0) = 0"
+    elif parsed.kind == "complex":
+        ideal = ho.oracle_nonface_ideal(parsed.value)
+        zero_note = "the nonface ideal is zero; conventions reg=pd=0 used"
     else:
-        if parsed.kind == "complex":
-            ideal, name = ho.oracle_nonface_ideal(parsed.value), "nonface"
-        else:
-            ideal, name = cl.edge_ideal(parsed.value), "edge"
-        reg, pd = ho.oracle_quotient_reg_pd(ideal, field)
-        out = {"kind": parsed.kind, "quotient": {"reg": reg, "pd": pd}}
-        if ideal.is_zero:
-            notes.append(f"the {name} ideal is zero; conventions reg=pd=0 used")
-        else:
-            out["bight"] = res.bight(ideal)
+        ideal = cl.edge_ideal(parsed.value)
+        zero_note = "the edge ideal is zero; conventions reg=pd=0 used"
+    reg, pd = ho.oracle_quotient_reg_pd(ideal, field)
+    out: dict = {"kind": parsed.kind}
+    if parsed.kind == "ideal" and not ideal.is_zero:  # I's own, read back from R/I's
+        out["ideal"] = {"reg": reg + 1, "pd": pd - 1}
+    out["quotient"] = {"reg": reg, "pd": pd}
+    notes = [zero_note] if ideal.is_zero else []
     if notes:
         out["notes"] = notes
+    elif ideal.is_squarefree:  # nonface and edge ideals always are
+        out["bight"] = res.bight(ideal)
     lines = [
         f"{key}: reg = {val['reg']}, pd = {val['pd']}"
         for key, val in out.items() if key in ("ideal", "quotient")
@@ -380,7 +373,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = command(sub, "decompose", _cmd_decompose, "search for a decomposition certificate")
     p.add_argument("--k", type=int, required=True, help="bound on shedding size; -1 for any")
     p.add_argument("--mode", choices=("direct", "dual"), default="direct")
-    p.add_argument("--budget", type=int, default=dec.DEFAULT_NODE_BUDGET)
+    p.add_argument(
+        "--budget", type=int, default=dec.DEFAULT_NODE_BUDGET,
+        help="search visits allowed, memo hits included (default %(default)s)",
+    )
 
     p = command(sub, "invariants", _cmd_invariants, "regularity, projective dimension, big height")
     p.add_argument("--field", default="rational")

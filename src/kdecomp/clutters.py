@@ -148,12 +148,15 @@ def is_simplicial_vertex(clutter: Clutter, v: int) -> bool:
     return _is_simplicial(clutter.edge_masks, _vertex_bit(clutter, v))
 
 
-def _edge_through(clutter: Clutter, x: int, e: Iterable[int]) -> int:
-    """The mask of `e`, which must be an edge of the clutter through x."""
+def _sigma_mask(clutter: Clutter, x: int, e: Iterable[int]) -> int:
+    """The mask of sigma = e - {x}, for an edge e of the clutter through x
+    with another vertex besides x."""
     e = frozenset(e)
     if e not in clutter.edges or x not in e:
         raise ValueError("need a vertex contained in an edge of the clutter")
-    return mask_of(e)
+    if len(e) < 2:
+        raise ValueError("the edge must have another vertex besides x")
+    return mask_of(e - {x})
 
 
 @dataclass(frozen=True)
@@ -241,9 +244,7 @@ def lemma_h_ideals(
     sigma.  Both are checked against the complex-side computation; a
     mismatch is an internal error.
     """
-    sigma_mask = _edge_through(clutter, x, e) ^ (1 << x)
-    if not sigma_mask:
-        raise ValueError("the edge must have another vertex besides x")
+    sigma_mask = _sigma_mask(clutter, x, e)
     sigma = frozenset(bits(sigma_mask))
 
     masks = [sigma_mask]
@@ -312,9 +313,7 @@ def chordal_reg_bound(
     e = frozenset(e)
     if not is_simplicial_vertex(clutter, x):
         raise ValueError(f"{clutter.ctx.names[x]} is not a simplicial vertex")
-    sigma_mask = _edge_through(clutter, x, e) ^ (1 << x)
-    if not sigma_mask:
-        raise ValueError("the edge must have another vertex besides x")
+    sigma_mask = _sigma_mask(clutter, x, e)
     sigma = bits(sigma_mask)
     d = len(sigma)
 

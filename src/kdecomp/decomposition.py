@@ -108,17 +108,6 @@ class _Node:
         m = self.below[b] = sum([1 << j for j, g in enumerate(self.gens) if g[i] < e])
         return m
 
-    def lower(self, bounds) -> int:
-        """The mask of I_u for the pairs (i, u_i) over supp(u): g is in I_u
-        when g_i < u_i for all of them, and in I^u otherwise."""
-        lower, below = self.full, self.below
-        for b in bounds:
-            m = below.get(b)
-            if m is None:
-                m = self.fill(b)
-            lower &= m
-        return lower
-
     def step(self, b) -> int:
         """The shedding step for the pair b = (i, u_i), stored in `steps`: the
         mask of the m with m_i = u_i - 1 and some generator h with h : m = x_i.
@@ -170,9 +159,16 @@ class _Node:
 
     def split(self, u) -> tuple[list[tuple[int, int]], int]:
         """The pairs (i, u_i) over supp(u) and the mask of I_u for an
-        exponent vector u."""
+        exponent vector u: g is in I_u when g_i < u_i for all of them, and
+        in I^u otherwise."""
         bounds = [(i, a) for i, a in enumerate(u) if a]
-        return bounds, self.lower(bounds)
+        lower, below = self.full, self.below
+        for b in bounds:
+            m = below.get(b)
+            if m is None:
+                m = self.fill(b)
+            lower &= m
+        return bounds, lower
 
 
 def matches(u: Monomial, m: Monomial) -> bool:
@@ -379,7 +375,9 @@ def k_decomposable_ideal(
 
     k = -1 places no bound on shedding supports.  Returns None when the
     search space is exhausted (a definitive negative); raises
-    BudgetExceededError when the node budget runs out first.
+    BudgetExceededError when the node budget runs out first.  Each visit
+    to a node of two or more generators spends one, a memo hit too, so
+    the budget bounds the work and not only the memo.
     """
     _check_k(k)
     if ideal.is_zero:
@@ -392,10 +390,10 @@ def k_decomposable_ideal(
 def _search_ideal(ctx, gens, k, memo, budget) -> IdealCertificate | None:
     if len(gens) == 1:
         return IdealLeaf(Monomial(ctx, gens[0]))
+    budget.spend()  # every visit, a memo hit too
     key = (ctx, gens, k)
     if key in memo:
         return memo[key]
-    budget.spend()
     cap = ctx.n if k < 0 else k + 1
     node = _Node(gens)
     result = None
@@ -535,7 +533,9 @@ def k_decomposable_complex(
     link.  Dual mode runs the ideal search on the facet-complement ideal
     of the complex and transports the certificate back (a shedding
     monomial with support S corresponds to the shedding face S).  The two
-    modes agree; certificates from either re-verify directly.
+    modes agree; certificates from either re-verify directly.  The node
+    budget counts visits as in `k_decomposable_ideal`, to nodes of two or
+    more facets in direct mode.
     """
     _check_k(k)
     if mode not in ("direct", "dual"):
@@ -608,10 +608,10 @@ def _faces_in_order(facets, ex, vertices, cap, face=0):
 def _search_complex(facets, k, memo, budget) -> ComplexCertificate | None:
     if len(facets) <= 1:
         return _complex_leaf(facets)
+    budget.spend()  # every visit, a memo hit too
     key = (facets, k)
     if key in memo:
         return memo[key]
-    budget.spend()
     vertices = bits(reduce(or_, facets))
     cap = len(vertices) if k < 0 else k + 1
     ex = _exchange_masks(facets, facets)

@@ -38,19 +38,13 @@ def random_squarefree_ideal(
     return random_monomial_ideal(rng, ctx, max_gens, 1)
 
 
-def random_subset(rng: Random, pool: list[int], size: int) -> frozenset[int]:
-    return frozenset(rng.sample(pool, size))
-
-
 def random_complex(
     rng: Random, ctx: VariableContext, n_vertices: int, max_facets: int = 6
 ) -> SimplicialComplex:
     """A random nondegenerate complex on a subset of the first n vertices."""
     pool = list(range(n_vertices))
     count = rng.randint(1, max_facets)
-    facets = [
-        random_subset(rng, pool, rng.randint(1, n_vertices)) for _ in range(count)
-    ]
+    facets = [frozenset(rng.sample(pool, rng.randint(1, n_vertices))) for _ in range(count)]
     return SimplicialComplex.from_facets(ctx, facets)
 
 
@@ -77,7 +71,7 @@ def random_clutter(
         size = uniform if uniform is not None else rng.randint(2, max(2, n_vertices))
         size = min(size, n_vertices)
         if size >= 2:
-            edges.append(random_subset(rng, pool, size))
+            edges.append(frozenset(rng.sample(pool, size)))
     return Clutter.from_edges(ctx, edges, vertices=pool)
 
 

@@ -51,6 +51,15 @@ tests it on masks, where it knows why one can occur:
   supports, the minimal nonfaces inside it, so every vertex lies in a
   minimal nonface and none can join every face.
 
+Budgets: a Hochster table takes at most VERTEX_BUDGET variables and a
+Koszul table an lcm of degree at most LCM_DEGREE_BUDGET.  One work bound,
+ORACLE_WORK_BUDGET, limits both routes further: the joins that build the
+lcm lattice (each generator joined with every degree found before it),
+and for Hochster the lattice degrees times the faces of the nonface
+complex, as each degree scans every face.  `_nonface_levels` counts the
+faces as it finds them, so a refusal costs at most the budget's share of
+faces and no rank.
+
 One cache holds the oracles' tables, keyed by route, generators and
 field; once it holds ORACLE_CACHE_SIZE tables, the oldest is dropped
 first.  The Koszul routes key an ideal by its exponent tuples.  The
@@ -75,6 +84,8 @@ from .monomials import MonomialIdeal, bits, mask_of
 
 VERTEX_BUDGET = 20
 LCM_DEGREE_BUDGET = 24
+# lattice joins, and lattice degrees times faces of the nonface complex
+ORACLE_WORK_BUDGET = 10**8
 # the primality test is trial division, so a field is bounded like a search
 FIELD_BOUND = 2**31
 
@@ -228,30 +239,45 @@ _oracle_cache: dict = {}
 _oracle_cache_lock = Lock()
 
 
+def _over_work_budget() -> BudgetExceededError:
+    return BudgetExceededError(
+        f"oracle work budget is {ORACLE_WORK_BUDGET} lattice joins or degree-face pairs"
+    )
+
+
 def _lcm_closure(gens, join) -> set:
     """Every join of a nonempty subset of `gens`: componentwise maxima of
-    exponent tuples, or unions of support masks."""
+    exponent tuples, or unions of support masks.  Each generator is joined
+    with every join found before it, and more than ORACLE_WORK_BUDGET
+    joins in all are refused."""
     closure: set = set()
+    joins = 0
     for g in gens:
+        joins += len(closure)
+        if joins > ORACLE_WORK_BUDGET:
+            raise _over_work_budget()
         closure |= {join(a, g) for a in closure}
         closure.add(g)
     return closure
 
 
-def _nonface_levels(supports: tuple[int, ...]) -> list[list[int]]:
+def _nonface_levels(supports: tuple[int, ...], limit: int) -> list[list[int]]:
     """The faces of the complex on the union of `supports` whose
     nonfaces contain a support, by cardinality, each level sorted by
-    mask.  Level c + 1 extends each face s of level c by a vertex v above
-    its highest one; as s is a face, a support inside s | v holds v, so
-    only the supports whose highest vertex is v need a test."""
+    mask; more than `limit` faces are refused as they are found.  Level
+    c + 1 extends each face s of level c by a vertex v above its highest
+    one; as s is a face, a support inside s | v holds v, so only the
+    supports whose highest vertex is v need a test."""
     by_top: dict[int, list[int]] = {}
     for g in supports:
         by_top.setdefault(1 << (g.bit_length() - 1), []).append(g)
     vertices = [1 << v for v in bits(reduce(or_, supports))]
-    levels = [[0]]
+    levels, faces = [[0]], 1
     while True:
         nxt = []  # by top vertex, then by the rest: ascending masks
         for v in vertices:
+            if faces + len(nxt) > limit:
+                raise _over_work_budget()
             tops = by_top.get(v, ())
             for s in levels[-1]:
                 if s >= v:  # the rest of the level reaches v or above
@@ -261,6 +287,7 @@ def _nonface_levels(supports: tuple[int, ...]) -> list[list[int]]:
                     nxt.append(t)
         if not nxt:
             return levels
+        faces += len(nxt)
         levels.append(nxt)
 
 
@@ -297,7 +324,8 @@ def _oracle_table(gens: tuple, field, route: str) -> BettiTable:
     if hochster:
         _check_vertex_budget(reduce(or_, gens).bit_count())
         degrees = _lcm_closure(gens, or_)
-        levels = _nonface_levels(gens)
+        # each degree scans every face
+        levels = _nonface_levels(gens, ORACLE_WORK_BUDGET // len(degrees))
     else:
         lcm = tuple(map(max, zip(*gens)))
         if sum(lcm) > LCM_DEGREE_BUDGET:

@@ -4,11 +4,13 @@ from itertools import chain, combinations
 from random import Random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from kdecomp import (
     Clutter,
     ComplexLeaf,
     ImproperIdealError,
+    MonomialIdeal,
     NotAFaceError,
     SimplicialComplex,
     VariableContext,
@@ -29,6 +31,7 @@ from kdecomp.generators import (
     random_complex,
     random_squarefree_ideal,
 )
+from kdecomp.monomials import bits
 
 from conftest import dim, ideal
 
@@ -172,6 +175,33 @@ def test_dual_involution_random(ctx4):
     ]
     for delta in samples:
         assert alexander_dual_complex(alexander_dual_complex(delta)) == delta
+
+
+@st.composite
+def declared_complexes(draw):
+    """Complexes on the first 1-6 vertices from 0-6 faces (so the void
+    complex and the empty face too), with vertices that lie in no face
+    declared or not."""
+    n = draw(st.integers(1, 6))
+    faces = draw(st.lists(st.integers(0, 2**n - 1), max_size=6))
+    declared = draw(st.integers(0, 2**n - 1))
+    ctx = VariableContext(tuple("abcdef"[:n]))
+    return SimplicialComplex.from_facets(ctx, map(bits, faces), bits(declared))
+
+
+@st.composite
+def squarefree_ideals(draw):
+    """Squarefree ideals on 1-6 variables from 1-6 nonunit supports."""
+    n = draw(st.integers(1, 6))
+    masks = draw(st.lists(st.integers(1, 2**n - 1), min_size=1, max_size=6))
+    return MonomialIdeal.from_masks(VariableContext(tuple("abcdef"[:n])), masks)
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(declared_complexes(), squarefree_ideals())
+def test_dual_involution(delta, i):
+    assert alexander_dual_complex(alexander_dual_complex(delta)) == delta
+    assert alexander_dual_ideal(alexander_dual_ideal(i)) == i
 
 
 def brute_dual_ideal(i):

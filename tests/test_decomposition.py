@@ -3,8 +3,10 @@ from __future__ import annotations
 from random import Random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from kdecomp import (
+    BudgetExceededError,
     ImproperIdealError,
     IdealLeaf,
     IdealNode,
@@ -27,6 +29,7 @@ from kdecomp import (
     verify_ideal_certificate,
 )
 from kdecomp.generators import random_complex, random_monomial_ideal
+from kdecomp.monomials import bits
 
 from conftest import ideal, mono
 
@@ -109,6 +112,60 @@ def test_certificate_soundness_random(ctx4):
             continue
         assert verify_ideal_certificate(cert, 2, i) == i
         found += 1
+
+
+@st.composite
+def ideals(draw):
+    """Ideals on 2-4 variables from 2-7 nonunit exponent vectors, each
+    exponent at most 3."""
+    n = draw(st.integers(2, 4))
+    vectors = st.tuples(*[st.integers(0, 3)] * n).filter(any)
+    ctx = VariableContext(tuple("xyzw"[:n]))
+    gens = draw(st.lists(vectors, min_size=2, max_size=7))
+    return MonomialIdeal.from_monomials(ctx, [ctx.monomial(g) for g in gens])
+
+
+@st.composite
+def complexes(draw):
+    """Complexes on the first 2-6 vertices from 2-8 faces, none of them
+    all n vertices (the empty face can be one)."""
+    n = draw(st.integers(2, 6))
+    faces = draw(st.lists(st.integers(0, 2**n - 2), min_size=2, max_size=8))
+    ctx = VariableContext(tuple("abcdef"[:n]))
+    return SimplicialComplex.from_facets(ctx, map(bits, faces))
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(ideals(), complexes())
+def test_certificate_soundness(i, delta):
+    for k in (-1, 0, 1, 2):
+        cert = k_decomposable_ideal(i, k)
+        if cert is not None:
+            assert verify_ideal_certificate(cert, k, i) == i
+        for mode in ("direct", "dual"):
+            cert = k_decomposable_complex(delta, k, mode=mode)
+            if cert is not None:
+                verify_complex_certificate(delta, cert, k)
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(complexes())
+@example(SimplicialComplex.void(VariableContext(("a", "b")), [0, 1]))
+@example(SimplicialComplex.irrelevant(VariableContext(("a", "b")), [0, 1]))
+def test_direct_and_dual_search_agree(delta):
+    for k in (-1, 0, 1, 2):
+        direct = k_decomposable_complex(delta, k, mode="direct")
+        dual = k_decomposable_complex(delta, k, mode="dual")
+        assert (direct is None) == (dual is None)
+        if direct is None:
+            continue
+        assert type(direct) is type(dual)
+        if isinstance(direct, ComplexNode):
+            assert direct.sigma == dual.sigma  # the same root face
+        else:
+            assert direct == dual
+        verify_complex_certificate(delta, direct, k)
+        verify_complex_certificate(delta, dual, k)
 
 
 def test_monotonicity_in_k(ctx4):
@@ -304,12 +361,21 @@ def test_invalid_certificate_rejected(ctx3):
 
 
 def test_budget_raises(ctx4):
-    from kdecomp import BudgetExceededError
-
     rng = Random(61)
     i = random_monomial_ideal(rng, ctx4, 8, 3)
     with pytest.raises(BudgetExceededError):
         k_decomposable_ideal(i, 2, node_budget=0)
+
+
+def test_budget_counts_every_visit():
+    # (a1, ..., a10, b1*c1, b2*c2) has no certificate: every set of the a's
+    # sheds, so the search fills 2,037 memo entries but visits them 111,899
+    # times, and a memo hit spends like any other visit
+    names = [f"a{j}" for j in range(1, 11)]
+    ctx = VariableContext.of(*names, "b1", "c1", "b2", "c2")
+    i = ideal(ctx, *names, "b1*c1", "b2*c2")
+    with pytest.raises(BudgetExceededError, match="search budget exhausted"):
+        k_decomposable_ideal(i, -1, node_budget=20_000)
 
 
 def test_shared_memo_keeps_contexts_apart():

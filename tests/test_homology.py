@@ -356,6 +356,53 @@ def test_budget_is_checked_before_the_nonfaces(tmp_path, capsys, monkeypatch):
         homology.oracle_complex_reg_pd(small, ambient=range(24))
 
 
+def test_work_budget_bounds_the_lattice(tmp_path, capsys, monkeypatch):
+    # facets X - {a_i, b_i}, i < 4: 16 minimal nonfaces, one vertex from
+    # each pair; 3^4 = 81 lattice degrees (unions of them) times the
+    # 2^8 - 81 = 175 faces of the nonface complex is 14,175
+    names = [f"{ab}{i}" for i in range(4) for ab in "ab"]
+    facets = [[v for v in names if v[1:] != str(i)] for i in range(4)]
+    path = tmp_path / "pairs.json"
+    path.write_text(json.dumps({"kind": "complex", "vars": names, "facets": facets}))
+    ctx = VariableContext(tuple(names))
+    delta = SimplicialComplex.from_facets(ctx, [[ctx.index(v) for v in f] for f in facets])
+    i = stanley_reisner_ideal(delta)
+    # 0 + 1 + 3 + 7 joins build the Koszul lattice of the squares of four
+    # variables, and the joins count on both routes
+    squares = ideal(VariableContext.of("x", "y", "z", "w"), "x^2", "y^2", "z^2", "w^2")
+    monkeypatch.setattr(homology, "_oracle_cache", {})
+    monkeypatch.setattr(homology, "ORACLE_WORK_BUDGET", 11)
+    assert betti_koszul(squares).pd == 3
+    monkeypatch.setattr(homology, "ORACLE_WORK_BUDGET", 81 * 175)
+    assert betti_hochster(i) == betti_koszul(i)
+    homology._oracle_cache.clear()
+
+    # one face more than the budget allows: refused as the faces are found,
+    # before any homology is ranked
+    def rank(*_):
+        raise AssertionError("homology ranked past the work budget")
+
+    monkeypatch.setattr(homology, "_homology_dims", rank)
+    monkeypatch.setattr(homology, "ORACLE_WORK_BUDGET", 81 * 175 - 1)
+    message = "oracle work budget is 14174 lattice joins or degree-face pairs"
+    with pytest.raises(BudgetExceededError, match=f"^{message}$"):
+        betti_hochster(i)
+    assert main(["invariants", str(path)]) == 3
+    assert capsys.readouterr() == ("", f"undecided: {message}\n")
+
+    # too many joins are refused before any face is found
+    def faces(*_):
+        raise AssertionError("faces enumerated past the work budget")
+
+    monkeypatch.setattr(homology, "_nonface_levels", faces)
+    monkeypatch.setattr(homology, "ORACLE_WORK_BUDGET", len(i.gens))
+    with pytest.raises(BudgetExceededError, match="work budget is 16 lattice joins"):
+        betti_hochster(i)
+    monkeypatch.setattr(homology, "ORACLE_WORK_BUDGET", 10)
+    with pytest.raises(BudgetExceededError, match="work budget is 10 lattice joins"):
+        betti_koszul(squares)
+
+
 def test_oracle_cache_is_bounded(ctx3, monkeypatch):
     from kdecomp import homology
 

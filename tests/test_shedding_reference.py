@@ -9,7 +9,8 @@ no code with the generator-mask routine behind `split`, `matches`,
 `is_shedding_monomial` and the search.
 
 `reference_search` is the ideal search written on that reference: the
-same candidate order, memo keys and node budget, but every candidate is
+same candidate order, memo keys and node budget (one unit for each visit
+to a node that is not a leaf, a memo hit too), but every candidate is
 tested, with no masks and no skipping of repeated splits.
 
 `product_order_candidates` is the candidate enumeration that the prefix
@@ -202,7 +203,7 @@ def reference_candidates(gens, cap):
 
 
 def reference_search(ideal, k, memo, budget):
-    """(certificate or None, nodes spent); memo keys are (ctx, gens, k)."""
+    """(certificate or None, visits spent); memo keys are (ctx, gens, k)."""
     ctx = ideal.ctx
     spent = 0
 
@@ -210,12 +211,12 @@ def reference_search(ideal, k, memo, budget):
         nonlocal spent
         if len(gens) == 1:
             return IdealLeaf(ctx.monomial(gens[0]))
+        spent += 1  # every visit, a memo hit too
+        if spent > budget:
+            raise BudgetExceededError("reference budget exhausted")
         key = (ctx, gens, k)
         if key in memo:
             return memo[key]
-        spent += 1
-        if spent > budget:
-            raise BudgetExceededError("reference budget exhausted")
         sub = MonomialIdeal(ctx, gens)
         result = None
         for vec in reference_candidates(gens, ctx.n if k < 0 else k + 1):
@@ -253,6 +254,10 @@ def test_search_matches_reference(ideal):
                 reference_search(ideal, k, {}, nodes // 2)
             with pytest.raises(BudgetExceededError):
                 k_decomposable_ideal(ideal, k, {}, node_budget=nodes // 2)
+            # the same budget: every visit spends, a memo hit too
+            assert k_decomposable_ideal(ideal, k, {}, node_budget=nodes) == cert
+            with pytest.raises(BudgetExceededError):
+                k_decomposable_ideal(ideal, k, {}, node_budget=nodes - 1)
 
 
 def sheds_by_exchange(delta, sigma, faces) -> bool:
@@ -267,7 +272,7 @@ def sheds_by_exchange(delta, sigma, faces) -> bool:
 
 
 def reference_search_complex(delta, k, memo, budget):
-    """(certificate or None, nodes spent); memo keys are the sorted facet
+    """(certificate or None, visits spent); memo keys are the sorted facet
     tuples with k."""
     spent = 0
 
@@ -276,12 +281,12 @@ def reference_search_complex(delta, k, memo, budget):
         if delta.is_simplex:
             (facet,) = delta.facets or [None]
             return ComplexLeaf(facet)
+        spent += 1  # every visit, a memo hit too
+        if spent > budget:
+            raise BudgetExceededError("reference budget exhausted")
         key = (tuple(sorted(tuple(sorted(f)) for f in delta.facets)), k)
         if key in memo:
             return memo[key]
-        spent += 1
-        if spent > budget:
-            raise BudgetExceededError("reference budget exhausted")
         cap = len(delta.vertices) if k < 0 else k + 1
         faces = delta.faces()
         result = None
@@ -352,3 +357,6 @@ def test_complex_search_matches_reference(delta):
                 reference_search_complex(delta, k, {}, nodes // 2)
             with pytest.raises(BudgetExceededError):
                 k_decomposable_complex(delta, k, node_budget=nodes // 2)
+            assert k_decomposable_complex(delta, k, node_budget=nodes) == cert
+            with pytest.raises(BudgetExceededError):
+                k_decomposable_complex(delta, k, node_budget=nodes - 1)

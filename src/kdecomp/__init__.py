@@ -31,7 +31,6 @@ from .complexes import (
     complex_from_nonfaces,
     delete_face,
     independence_complex,
-    induced_subcomplex,
     link,
     minimal_nonfaces,
     stanley_reisner_ideal,
@@ -46,7 +45,6 @@ from .decomposition import (
     is_shedding_monomial,
     k_decomposable_complex,
     k_decomposable_ideal,
-    matches,
     split,
     transport_certificate,
     verify_complex_certificate,

@@ -285,14 +285,3 @@ def delete_face(delta: SimplicialComplex, face: Iterable[int]) -> SimplicialComp
     survivors += [f ^ (1 << v) for f in holders for v in bits(s)]
     vertices = delta.vertex_mask ^ s if s & (s - 1) == 0 else delta.vertex_mask
     return SimplicialComplex(delta.ctx, vertices, antichain(survivors))
-
-
-def induced_subcomplex(delta: SimplicialComplex, vertices: Iterable[int]) -> SimplicialComplex:
-    """Restriction to the faces contained in `vertices`."""
-    w = mask_of(vertices)
-    if w & ~delta.vertex_mask:
-        raise ValueError("restriction set must be a subset of the vertices")
-    if delta.is_void:
-        return delta
-    restricted = antichain(f & w for f in delta.facet_masks)
-    return SimplicialComplex(delta.ctx, reduce(or_, restricted, 0), restricted)

@@ -171,12 +171,6 @@ class _Node:
         return bounds, lower
 
 
-def matches(u: Monomial, m: Monomial) -> bool:
-    """The predicate [u, M] = 1: no x_i^{a_i} with a_i > 0 in u divides M."""
-    _check_u(m.ctx, u)
-    return bool(_Node((m.exponents,)).split(u.exponents)[1])
-
-
 def split(ideal: MonomialIdeal, u: Monomial) -> tuple[MonomialIdeal, MonomialIdeal]:
     """Partition G(I) into (I^u, I_u) by the predicate [u, .]."""
     ctx = ideal.ctx

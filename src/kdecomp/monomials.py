@@ -134,11 +134,18 @@ def bits(mask: int) -> list[int]:
 def antichain(masks: Iterable[int], minimal: bool = False) -> tuple[int, ...]:
     """The inclusion-maximal int masks of `masks`, or the inclusion-minimal
     ones when `minimal` is set, sorted ascending; duplicates count once.
-    Masks are taken largest (smallest) first, so only kept ones compare."""
+    Masks are taken largest (smallest) first, and each is compared only with
+    the masks kept from earlier sizes: two distinct masks of one size never
+    contain each other, so a size's survivors join `kept` when it ends."""
     kept: list[int] = []
+    level: list[int] = []
     for m in sorted(set(masks), key=int.bit_count, reverse=not minimal):
+        if level and level[0].bit_count() != m.bit_count():
+            kept += level
+            level = []
         if not any((k & m == k) if minimal else (k & m == m) for k in kept):
-            kept.append(m)
+            level.append(m)
+    kept += level
     kept.sort()
     return tuple(kept)
 

@@ -36,9 +36,6 @@ from kdecomp import (
     terao_check,
 )
 from kdecomp.generators import (
-    all_clutters,
-    all_complexes,
-    all_graphs,
     random_clutter,
     random_complex,
     random_face,
@@ -46,6 +43,8 @@ from kdecomp.generators import (
     random_squarefree_ideal,
 )
 from kdecomp.homology import oracle_complex_reg_pd
+
+from exhaustive import all_clutters, all_complexes, all_graphs
 
 FULL = os.environ.get("KDECOMP_ACCEPT_FULL") == "1"
 

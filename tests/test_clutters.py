@@ -21,10 +21,11 @@ from kdecomp import (
     lemma_h_ideals,
 )
 from kdecomp import homology
-from kdecomp.generators import all_graphs, random_clutter
+from kdecomp.generators import random_clutter
 from kdecomp.monomials import MonomialIdeal, VariableContext, bits, mask_of
 
 from conftest import ideal
+from exhaustive import all_graphs
 
 
 def triangle(ctx):

@@ -26,12 +26,13 @@ from kdecomp import (
     VariableContext,
     alexander_dual_complex,
     delete_face,
-    induced_subcomplex,
     link,
     minimal_nonfaces,
     stanley_reisner_ideal,
 )
 from kdecomp.monomials import bits, mask_of
+
+from exhaustive import induced_subcomplex
 
 CTX = VariableContext.of(*"abcdefgh")
 

@@ -26,7 +26,6 @@ from kdecomp import (
     stanley_reisner_ideal,
 )
 from kdecomp.generators import (
-    all_complexes,
     random_clutter,
     random_complex,
     random_squarefree_ideal,
@@ -34,6 +33,7 @@ from kdecomp.generators import (
 from kdecomp.monomials import bits
 
 from conftest import dim, ideal
+from exhaustive import all_complexes
 
 
 def powerset(items):

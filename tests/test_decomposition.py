@@ -23,7 +23,6 @@ from kdecomp import (
     is_shedding_monomial,
     k_decomposable_complex,
     k_decomposable_ideal,
-    matches,
     split,
     verify_complex_certificate,
     verify_ideal_certificate,
@@ -35,11 +34,12 @@ from conftest import ideal, mono
 
 
 def test_matches(ctx3):
-    assert matches(mono(ctx3, "x"), mono(ctx3, "y*z"))
-    assert not matches(mono(ctx3, "x"), mono(ctx3, "x*y"))
-    assert matches(mono(ctx3, "x^2"), mono(ctx3, "x*y"))
+    """[u, M] = 1 exactly when split puts M in I_u."""
+    assert split(ideal(ctx3, "y*z"), mono(ctx3, "x"))[1] == ideal(ctx3, "y*z")
+    assert split(ideal(ctx3, "x*y"), mono(ctx3, "x"))[1].is_zero
+    assert split(ideal(ctx3, "x*y"), mono(ctx3, "x^2"))[1] == ideal(ctx3, "x*y")
     with pytest.raises(ValueError):
-        matches(ctx3.one(), mono(ctx3, "x"))
+        split(ideal(ctx3, "x"), ctx3.one())
 
 
 def test_split(ctx3):

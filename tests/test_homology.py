@@ -23,7 +23,6 @@ from kdecomp import (
     betti_hochster,
     betti_koszul,
     independence_complex,
-    induced_subcomplex,
     reduced_homology_dims,
     stanley_reisner_ideal,
 )
@@ -35,6 +34,7 @@ from kdecomp.homology import _boundary_rank, _homology_dims
 from kdecomp.monomials import MonomialIdeal, bits
 
 from conftest import ideal
+from exhaustive import induced_subcomplex
 
 
 def dims_by_degree(delta, field=None):

@@ -5,7 +5,7 @@ divides M; it splits G(I) into I^u (the predicate fails) and I_u (it
 holds).  u sheds I when I_u != 0 and, for every m in G(I_u) and every
 i in supp(u), some g in G(I^u) has g : m = x_i.  The reference below
 spells this out with Monomial.divides and Monomial.colon, so it shares
-no code with the generator-mask routine behind `split`, `matches`,
+no code with the generator-mask routine behind `split`,
 `is_shedding_monomial` and the search.
 
 `reference_search` is the ideal search written on that reference: the
@@ -54,7 +54,6 @@ from kdecomp import (
     k_decomposable_complex,
     k_decomposable_ideal,
     link,
-    matches,
     split,
     verify_complex_certificate,
     verify_ideal_certificate,
@@ -126,7 +125,6 @@ def test_shedding_test_matches_definition(ideal):
             g for g in ideal.gens if not matches_by_definition(u, g)
         )
         assert lower.gens == tuple(g for g in ideal.gens if matches_by_definition(u, g))
-        assert all(matches(u, g) == matches_by_definition(u, g) for g in ideal.gens)
         assert is_shedding_monomial(ideal, u) == sheds_by_definition(ideal, u), str(u)
 
 

@@ -14,23 +14,25 @@ The two degenerate complexes are encoded by their facet sets:
 ``{}`` (void, no faces at all) has no facets, and ``{{}}`` (the complex
 whose only face is the empty set) has the single facet mask ``0``.
 
-Every duality goes through one helper on frozensets,
+Every duality goes through one helper on int masks,
 :func:`_minimal_transversals` (the blocker of a clutter): the minimal
 nonfaces are the minimal transversals of the facet complements, the
 facets of an independence complex are the complements of the minimal
 vertex covers of its edges, and the Alexander dual of a squarefree ideal
 is generated by the minimal transversals of its generator supports.
+Its search is bounded by TRANSVERSAL_BUDGET nodes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from itertools import compress, count, filterfalse
+from math import inf
 from operator import or_
 from typing import Iterable
 
 from .errors import (
+    BudgetExceededError,
     ImproperIdealError,
     NotAFaceError,
     VoidComplexError,
@@ -38,38 +40,63 @@ from .errors import (
 from .monomials import MonomialIdeal, VariableContext, antichain, bits, mask_of
 
 VertexSet = frozenset[int]
+# search nodes of _minimal_transversals
+TRANSVERSAL_BUDGET = 10**6
 
 
-def _minimal_transversals(sets: Iterable[frozenset]) -> frozenset[frozenset]:
-    """The inclusion-minimal sets meeting every member of `sets`.
+def _minimal_transversals(members: list[int]) -> list[int]:
+    """The inclusion-minimal masks meeting every mask of `members`, in
+    ascending order: the blocker of the clutter of their minimal members.
+    No members give ``[0]``; an empty member gives ``[]``.
 
-    Members are added one at a time: covers that meet the new member are
-    kept, and each cover that misses it is extended by each of its
-    elements.  Kept covers stay minimal and no extension contains
-    another, so an extension is dropped only when it contains a kept
-    cover.  Small members go first, and among equal sizes the
-    lexicographically largest; on simplex skeleta and random families
-    this ran 1.4 to 3 times as fast as an arbitrary order.  No members
-    give ``{frozenset()}``; an empty member gives no transversal at all.
+    MMCS (Murakami-Uno, Discrete Appl. Math. 170, 2014), depth first from
+    an explicit stack, as a cover can hold every vertex.  A node holds a
+    partial cover s, its candidates, the bitset of members it misses and,
+    for each vertex of s, the bitset of members only that vertex hits.  It
+    branches on the vertices of its first missed member that are still
+    candidates; a vertex tried is a candidate again for the later
+    branches, so each cover is found once.  A branch is cut when it would
+    leave some vertex of s with no member of its own, so s stays minimal,
+    and s is a cover when it misses no member.  More than
+    TRANSVERSAL_BUDGET nodes are refused.
     """
-    covers = [frozenset()]
-    for s in sorted(sets, key=lambda m: (-len(m), sorted(m)), reverse=True):
-        missed = list(filter(s.isdisjoint, covers))
+    hit: dict[int, int] = {}  # vertex bit -> bitset of the members holding it
+    for i, m in enumerate(members):
+        for v in bits(m):
+            hit[1 << v] = hit.get(1 << v, 0) | 1 << i
+    covers, nodes = [], 0
+    stack = [(0, reduce(or_, members, 0), (1 << len(members)) - 1, [])]
+    while stack:
+        nodes += 1
+        if nodes > TRANSVERSAL_BUDGET:
+            raise BudgetExceededError(f"transversal budget is {TRANSVERSAL_BUDGET} nodes")
+        s, cand, missed, crit = stack.pop()
         if not missed:
+            covers.append(s)
             continue
-        kept = list(filterfalse(s.isdisjoint, covers))
-        extended = {c | {v} for c in missed for v in s}
-        covers = kept + [e for e in extended if not any(map(e.issuperset, kept))]
-    return frozenset(covers)
+        branch = cand & members[(missed & -missed).bit_length() - 1]
+        cand ^= branch
+        while branch:
+            v = branch & -branch
+            branch ^= v
+            h = hit[v]
+            crits = [c & ~h for c in crit]
+            if all(crits):
+                crits.append(missed & h)
+                stack.append((s | v, cand, missed & ~h, crits))
+            cand |= v
+    return sorted(covers)
 
 
-def _face_levels(facet_masks) -> list[list[int]]:
+def _face_levels(facet_masks, limit=inf) -> list[list[int]]:
     """The faces of the complex generated by `facet_masks`, which need not
     be an antichain, by cardinality, each level sorted by mask; ``[]``
     (void) when there are no facets.  Level c + 1 extends each face s of
     level c by a vertex v above its highest one.  s carries the bitset of
     the facets that hold it, and s | v the AND of that with the facets
-    that hold v; a face survives while its bitset is nonzero."""
+    that hold v; a face survives while its bitset is nonzero.  Once more
+    than `limit` faces are found the building stops: the levels returned
+    then hold more than `limit` faces, and may miss some."""
     holders: dict[int, int] = {}
     for i, f in enumerate(facet_masks):
         for v in bits(f):
@@ -79,8 +106,11 @@ def _face_levels(facet_masks) -> list[list[int]]:
     levels = []
     while level:
         levels.append([s for s, _ in level])
+        limit -= len(level)
         nxt = []  # by top vertex, then by the rest: ascending masks
         for v, held in vertices:
+            if len(nxt) > limit:
+                break
             for s, h in level:
                 if s >= v:  # the rest of the level reaches v or above
                     break
@@ -183,7 +213,8 @@ def minimal_nonfaces(delta: SimplicialComplex) -> frozenset[VertexSet]:
     if delta.is_void:
         raise VoidComplexError("the void complex has no nonfaces convention")
     x = delta.vertex_mask
-    return _minimal_transversals(frozenset(bits(x ^ f)) for f in delta.facet_masks)
+    covers = _minimal_transversals([x ^ f for f in delta.facet_masks])
+    return frozenset(frozenset(bits(c)) for c in covers)
 
 
 def stanley_reisner_ideal(
@@ -200,7 +231,7 @@ def stanley_reisner_ideal(
     ambient_mask = x if ambient is None else mask_of(ambient)
     if x & ~ambient_mask:
         raise ValueError("ambient must contain the vertex set of the complex")
-    masks = [mask_of(n) for n in minimal_nonfaces(delta)]
+    masks = _minimal_transversals([x ^ f for f in delta.facet_masks])
     masks += [1 << v for v in bits(ambient_mask ^ x)]
     return MonomialIdeal.from_masks(delta.ctx, masks)
 
@@ -216,9 +247,12 @@ def independence_complex(
     edge not inside `vertices` is in no such subset and changes nothing.
     The facets are the complements of the minimal vertex covers.
     """
-    verts = frozenset(vertices)
-    covers = _minimal_transversals(e for e in map(frozenset, edges) if e <= verts)
-    return SimplicialComplex.from_facets(ctx, [verts - c for c in covers])
+    verts = mask_of(vertices)
+    if verts >> ctx.n:
+        raise ValueError("vertex index outside the context")
+    covers = _minimal_transversals([e for e in map(mask_of, edges) if e & verts == e])
+    facets = sorted([verts ^ c for c in covers])
+    return SimplicialComplex(ctx, reduce(or_, facets, 0), tuple(facets))
 
 
 def complex_from_nonfaces(clutter) -> SimplicialComplex:
@@ -236,8 +270,9 @@ def alexander_dual_complex(delta: SimplicialComplex) -> SimplicialComplex:
     x = delta.vertex_mask
     if delta.is_void:
         return SimplicialComplex(delta.ctx, x, (x,))
+    covers = _minimal_transversals([x ^ f for f in delta.facet_masks])
     # the complements of an antichain form an antichain
-    facets = sorted([x ^ mask_of(n) for n in minimal_nonfaces(delta)])
+    facets = sorted([x ^ c for c in covers])
     return SimplicialComplex(delta.ctx, x, tuple(facets))
 
 
@@ -252,8 +287,8 @@ def alexander_dual_ideal(ideal: MonomialIdeal) -> MonomialIdeal:
         raise ValueError("Alexander duality needs a squarefree ideal")
     if ideal.is_zero:
         raise ImproperIdealError("the dual of the zero ideal is the unit ideal")
-    covers = _minimal_transversals(frozenset(compress(count(), e)) for e in ideal.exps)
-    return MonomialIdeal.from_masks(ideal.ctx, map(mask_of, covers))
+    supports = [sum(e << v for v, e in enumerate(g)) for g in ideal.exps]
+    return MonomialIdeal.from_masks(ideal.ctx, _minimal_transversals(supports))
 
 
 def link(delta: SimplicialComplex, face: Iterable[int]) -> SimplicialComplex:

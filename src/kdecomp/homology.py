@@ -52,13 +52,17 @@ tests it on masks, where it knows why one can occur:
   minimal nonface and none can join every face.
 
 Budgets: a Hochster table takes at most VERTEX_BUDGET variables and a
-Koszul table an lcm of degree at most LCM_DEGREE_BUDGET.  One work bound,
-ORACLE_WORK_BUDGET, limits both routes further: the joins that build the
-lcm lattice (each generator joined with every degree found before it),
-and for Hochster the lattice degrees times the faces of the nonface
-complex, as each degree scans every face.  `_nonface_levels` counts the
-faces as it finds them, so a refusal costs at most the budget's share of
-faces and no rank.
+Koszul table an lcm of degree at most LCM_DEGREE_BUDGET;
+`reduced_homology_dims` takes at most VERTEX_BUDGET vertices.  One work
+bound, ORACLE_WORK_BUDGET, limits both routes further: the joins that
+build the lcm lattice (each generator joined with every degree found
+before it), and for Hochster the lattice degrees times the faces of the
+nonface complex, as each degree scans every face.  `_nonface_levels`
+counts the faces as it finds them, so a refusal costs at most the
+budget's share of faces and no rank.  The Koszul route builds a complex
+at each lattice degree instead, and KOSZUL_FACE_BUDGET bounds the faces
+of those complexes summed over the degrees: `_face_levels` stops once a
+degree's faces pass what is left, and that degree is not ranked.
 
 One cache holds the oracles' tables, keyed by route, generators and
 field; once it holds ORACLE_CACHE_SIZE tables, the oldest is dropped
@@ -86,6 +90,8 @@ VERTEX_BUDGET = 20
 LCM_DEGREE_BUDGET = 24
 # lattice joins, and lattice degrees times faces of the nonface complex
 ORACLE_WORK_BUDGET = 10**8
+# the faces the Koszul route builds, summed over its lattice degrees
+KOSZUL_FACE_BUDGET = 2 * 10**6
 # the primality test is trial division, so a field is bounded like a search
 FIELD_BOUND = 2**31
 
@@ -110,7 +116,8 @@ def _is_prime(p: int) -> bool:
 
 
 def _check_vertex_budget(size: int) -> None:
-    """Refuse a Hochster table on more than VERTEX_BUDGET variables."""
+    """Refuse a Hochster table, or the homology of a complex, on more than
+    VERTEX_BUDGET variables."""
     if size > VERTEX_BUDGET:
         raise BudgetExceededError(f"oracle budget is {VERTEX_BUDGET} vertices, got {size}")
 
@@ -224,9 +231,7 @@ def _homology_dims(levels: list[list[int]], field) -> list[int]:
 def reduced_homology_dims(delta: SimplicialComplex, field=None) -> list[int]:
     """Reduced simplicial homology dimensions of `delta`, degree -1 first."""
     check_field(field)
-    size = delta.vertex_mask.bit_count()
-    if size > VERTEX_BUDGET:
-        raise BudgetExceededError(f"homology budget is {VERTEX_BUDGET} vertices, got {size}")
+    _check_vertex_budget(delta.vertex_mask.bit_count())
     facets = delta.facet_masks
     # a vertex in every facet is a cone point: all reduced homology vanishes
     if facets and reduce(and_, facets):
@@ -333,6 +338,7 @@ def _oracle_table(gens: tuple, field, route: str) -> BettiTable:
                 f"oracle lcm-degree budget is {LCM_DEGREE_BUDGET}, got {sum(lcm)}"
             )
         degrees = _lcm_closure(gens, lambda a, b: tuple(map(max, a, b)))
+        faces = 0
 
     entries: dict[tuple[int, int], int] = {}
     for a in degrees:
@@ -358,7 +364,12 @@ def _oracle_table(gens: tuple, field, route: str) -> BettiTable:
             # every face; either way a cone, with no reduced homology.
             if not walls or 0 in walls or reduce(or_, walls) != supp:
                 continue
-            sub = _face_levels([supp & ~w for w in walls])
+            sub = _face_levels([supp & ~w for w in walls], KOSZUL_FACE_BUDGET - faces)
+            faces += sum(map(len, sub))
+            if faces > KOSZUL_FACE_BUDGET:
+                raise BudgetExceededError(
+                    f"oracle face budget is {KOSZUL_FACE_BUDGET} Koszul faces"
+                )
         for c, h in enumerate(_homology_dims(sub, field)):
             i = j - c - 1 if hochster else c
             if h and i >= 0:

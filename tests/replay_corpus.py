@@ -26,6 +26,7 @@ import random
 import subprocess
 import sys
 import time
+from itertools import combinations
 from pathlib import Path
 
 CORPUS = Path(__file__).with_name("corpus")
@@ -60,6 +61,26 @@ def variables_and_two_edges(m: int) -> dict:
     return {"kind": "ideal", "vars": a + ["b1", "c1", "b2", "c2"], "gens": a + ["b1*c1", "b2*c2"]}
 
 
+def skeleton(n: int, k: int) -> dict:
+    """The k-skeleton of the simplex on x0, ..., x(n-1): every k + 1 of
+    its vertices span a facet."""
+    names = [f"x{i}" for i in range(n)]
+    return {"kind": "complex", "vars": names, "facets": [list(f) for f in combinations(names, k + 1)]}
+
+
+def variables(n: int) -> dict:
+    """The ideal (x0, ..., x(n-1))."""
+    names = [f"x{i}" for i in range(n)]
+    return {"kind": "ideal", "vars": names, "gens": names}
+
+
+def square_and_cycle(n: int) -> dict:
+    """x0^2 plus the edge ideal of the n-cycle on x1, ..., xn."""
+    names = [f"x{i}" for i in range(n + 1)]
+    edges = [f"x{i}*x{i % n + 1}" for i in range(1, n + 1)]
+    return {"kind": "ideal", "vars": names, "gens": ["x0^2"] + edges}
+
+
 def seeded_rows(seed: int, n: int, count: int) -> dict:
     """`count` seeded exponent rows on n variables, entries drawn from
     0, 0, 0, 1, 2, with the zero rows dropped."""
@@ -70,7 +91,16 @@ def seeded_rows(seed: int, n: int, count: int) -> dict:
 
 GENERATORS = {
     f.__name__: f
-    for f in (pairs_complex, pairs_ideal, power, variables_and_two_edges, seeded_rows)
+    for f in (
+        pairs_complex,
+        pairs_ideal,
+        power,
+        variables_and_two_edges,
+        seeded_rows,
+        skeleton,
+        variables,
+        square_and_cycle,
+    )
 }
 
 

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from kdecomp import (
+    BudgetExceededError,
     Clutter,
     ComplexLeaf,
     ImproperIdealError,
@@ -25,6 +26,8 @@ from kdecomp import (
     minimal_nonfaces,
     stanley_reisner_ideal,
 )
+from kdecomp import complexes
+from kdecomp.complexes import _minimal_transversals
 from kdecomp.generators import (
     random_clutter,
     random_complex,
@@ -202,6 +205,29 @@ def squarefree_ideals(draw):
 def test_dual_involution(delta, i):
     assert alexander_dual_complex(alexander_dual_complex(delta)) == delta
     assert alexander_dual_ideal(alexander_dual_ideal(i)) == i
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(st.lists(st.integers(0, 2**8 - 1), max_size=8))
+def test_minimal_transversals_are_the_blocker(members):
+    # any family on 8 vertices: duplicates, members holding others, the
+    # empty member and no members at all
+    hitting = {s for s in range(2**8) if all(s & m for m in members)}
+    minimal = [s for s in sorted(hitting) if not any(s & ~(1 << v) in hitting for v in bits(s))]
+    assert _minimal_transversals(members) == minimal
+    assert _minimal_transversals(minimal) == sorted(
+        {m for m in members if not any(t & m == t != m for t in members)}
+    )
+
+
+def test_transversal_budget_counts_nodes(monkeypatch):
+    # (a_i * b_i, i < 3): one node per partial cover, 1 + 2 + 4 + 8 = 15
+    pairs = [0b11, 0b1100, 0b110000]
+    monkeypatch.setattr(complexes, "TRANSVERSAL_BUDGET", 15)
+    assert len(_minimal_transversals(pairs)) == 8
+    monkeypatch.setattr(complexes, "TRANSVERSAL_BUDGET", 14)
+    with pytest.raises(BudgetExceededError, match="^transversal budget is 14 nodes$"):
+        _minimal_transversals(pairs)
 
 
 def brute_dual_ideal(i):

@@ -403,6 +403,19 @@ def test_work_budget_bounds_the_lattice(tmp_path, capsys, monkeypatch):
         betti_koszul(squares)
 
 
+def test_koszul_face_budget(monkeypatch):
+    # the degree on k of the squares of four variables builds the boundary
+    # of a (k-1)-simplex, 2^k - 1 faces: 3^4 - 2^4 = 65 faces in all
+    squares = ideal(VariableContext.of("x", "y", "z", "w"), "x^2", "y^2", "z^2", "w^2")
+    monkeypatch.setattr(homology, "_oracle_cache", {})
+    monkeypatch.setattr(homology, "KOSZUL_FACE_BUDGET", 65)
+    assert betti_koszul(squares).pd == 3
+    homology._oracle_cache.clear()
+    monkeypatch.setattr(homology, "KOSZUL_FACE_BUDGET", 64)
+    with pytest.raises(BudgetExceededError, match="^oracle face budget is 64 Koszul faces$"):
+        betti_koszul(squares)
+
+
 def test_oracle_cache_is_bounded(ctx3, monkeypatch):
     from kdecomp import homology
 

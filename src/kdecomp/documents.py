@@ -6,19 +6,25 @@ Monomials are written either as strings like ``"x^2*y"`` or as exponent
 lists; facets and edges as lists of variable names.  A variable name is
 not empty or ``"1"``, has no surrounding whitespace and holds no ``*``,
 ``^`` or ``,``: monomial strings and the CLI's vertex lists could not
-name it otherwise.
+name it otherwise.  An integer of more digits than ``int`` reads (4300
+by default) is refused like a syntax error.
+
+An ideal's generators are read straight into exponent tuples, each
+checked once, and :meth:`MonomialIdeal.from_exponents` refuses 1 and
+minimalizes them; no monomial is built per generator.
 """
 
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 
 from .clutters import Clutter, MinorStep
 from .complexes import SimplicialComplex
 from .decomposition import ComplexCertificate, ComplexNode, IdealCertificate, IdealNode, _fold
 from .errors import DocumentError
-from .monomials import Monomial, MonomialIdeal, VariableContext
+from .monomials import MonomialIdeal, VariableContext
 
 
 @dataclass
@@ -28,11 +34,12 @@ class ParsedDocument:
     warnings: list[str]
 
 
-def monomial_from_string(text: str, ctx: VariableContext) -> Monomial:
+def exponents_from_string(text: str, ctx: VariableContext) -> tuple[int, ...]:
+    """The exponent tuple of a monomial string like ``"x^2*y"`` or ``"1"``."""
     text = text.strip()
-    if text == "1":
-        return ctx.one()
     exps = [0] * ctx.n
+    if text == "1":
+        return tuple(exps)
     for factor in text.split("*"):
         factor = factor.strip()
         if not factor:
@@ -51,7 +58,7 @@ def monomial_from_string(text: str, ctx: VariableContext) -> Monomial:
             exps[ctx.index(name.strip())] += e
         except KeyError:
             raise DocumentError(f"unknown variable {name.strip()!r}") from None
-    return ctx.monomial(exps)
+    return tuple(exps)
 
 
 def vertex_list(items, ctx: VariableContext, what: str) -> frozenset[int]:
@@ -75,6 +82,10 @@ def parse_document(text: str) -> ParsedDocument:
     except json.JSONDecodeError as exc:
         raise DocumentError(
             f"syntax error at line {exc.lineno}, column {exc.colno}: {exc.msg}"
+        ) from None
+    except ValueError:  # an integer too long for int(), see sys.set_int_max_str_digits
+        raise DocumentError(
+            f"a number in the document has more than {sys.get_int_max_str_digits()} digits"
         ) from None
     return parse_object(obj)
 
@@ -107,17 +118,17 @@ def parse_object(obj) -> ParsedDocument:
         gens = []
         for item in raw:
             if isinstance(item, str):
-                gens.append(monomial_from_string(item, ctx))
+                gens.append(exponents_from_string(item, ctx))
             elif isinstance(item, list):
                 # bool is a subclass of int, but true is not an exponent
                 if len(item) != ctx.n or not all(
                     type(e) is int and e >= 0 for e in item
                 ):
                     raise DocumentError(f"bad exponent list {item!r}")
-                gens.append(ctx.monomial(item))
+                gens.append(tuple(item))
             else:
                 raise DocumentError(f"bad generator {item!r}")
-        ideal = MonomialIdeal.from_monomials(ctx, gens)
+        ideal = MonomialIdeal.from_exponents(ctx, gens)
         if len(ideal.exps) != len(gens):
             warnings.append("duplicate or non-minimal generators were minimalized")
         return ParsedDocument("ideal", ideal, warnings)

@@ -8,16 +8,21 @@ below it, in complexes, clutters, the searches and homology;
 :meth:`MonomialIdeal.from_masks` builds squarefree ideals.
 
 A :class:`MonomialIdeal` keeps its minimal generators as exponent tuples;
-``gens`` views them as monomials.  Its two checked constructors each
-minimalize with one kernel: ``from_monomials`` with
-:func:`minimal_exponents`, ``from_masks`` with :func:`antichain`, which
-complexes and clutters share.  Direct construction checks nothing.
+``gens`` views them as monomials.  Its checked constructors refuse 1 and
+minimalize with one of two kernels: ``from_exponents``, which documents
+read into and ``from_monomials`` goes through, with
+:func:`minimal_exponents`, and ``from_masks`` with :func:`antichain`,
+which complexes and clutters share.  Both kernels take their items by
+degree and compare each only with the items kept from smaller degrees.
+Direct construction checks nothing.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import compress, count
+from operator import le
 from typing import Iterable
 
 from .errors import ContextMismatchError, ImproperIdealError
@@ -160,14 +165,29 @@ def minimal_exponents(exps: Iterable[tuple[int, ...]]) -> tuple[tuple[int, ...],
 
     The canonical listing order used everywhere in the package is
     decreasing lexicographic order on exponent vectors (x before y, so
-    e.g. x*y < x*z < y*z as a listing).  A proper divisor precedes its
-    multiples in increasing lex order, so an ascending pass suffices.
+    e.g. x*y < x*z < y*z as a listing).  Tuples are taken by increasing
+    total degree, and each is compared only with the tuples kept from
+    smaller degrees: a proper divisor has a smaller degree, and two
+    distinct tuples of one degree never divide each other, so a degree's
+    survivors join `kept` when it ends, as in :func:`antichain`.  A kept
+    tuple whose support is not inside the candidate's cannot divide it,
+    so its exponents are compared only when its support mask fits.
     """
-    kept: list[tuple[int, ...]] = []
-    for e in sorted(set(exps)):
-        if not any(all(a <= b for a, b in zip(k, e)) for k in kept):
-            kept.append(e)
-    return tuple(reversed(kept))
+    kept: list[tuple[int, tuple[int, ...]]] = []
+    level: list[tuple[int, tuple[int, ...]]] = []
+    last = -1
+    for degree, e in sorted([(sum(e), e) for e in set(exps)]):
+        if degree != last:
+            kept += level
+            level, last = [], degree
+        support = mask_of(compress(count(), e))
+        for s, k in kept:
+            if s & support == s and all(map(le, k, e)):
+                break
+        else:
+            level.append((support, e))
+    kept += level
+    return tuple(sorted([e for _, e in kept], reverse=True))
 
 
 @dataclass(frozen=True)
@@ -178,23 +198,34 @@ class MonomialIdeal:
     incomparable under divisibility and in the canonical order of
     :func:`minimal_exponents`.  The empty tuple is the zero ideal; the
     unit ideal is not representable.  Direct construction does not check
-    any of that; `from_monomials` and `from_masks` do.
+    any of that; `from_exponents`, `from_monomials` and `from_masks` do.
     """
 
     ctx: VariableContext
     exps: tuple[tuple[int, ...], ...]
 
     @classmethod
+    def from_exponents(
+        cls, ctx: VariableContext, exps: Iterable[tuple[int, ...]]
+    ) -> "MonomialIdeal":
+        """Minimalize a generating set of exponent tuples; raises if 1
+        occurs.  Each tuple must fit `ctx`, which is not checked."""
+        exps = list(exps)
+        if not all(map(any, exps)):
+            raise ImproperIdealError("generators contain 1 (unit ideal)")
+        return cls(ctx, minimal_exponents(exps))
+
+    @classmethod
     def from_monomials(
         cls, ctx: VariableContext, monomials: Iterable[Monomial]
     ) -> "MonomialIdeal":
-        """Minimalize a generating set; raises if 1 occurs."""
+        """Minimalize a generating set; raises if 1 occurs, then if a
+        generator lives in another context."""
         monomials = list(monomials)
-        if any(m.is_one for m in monomials):
-            raise ImproperIdealError("generators contain 1 (unit ideal)")
+        ideal = cls.from_exponents(ctx, [m.exponents for m in monomials])
         if any(m.ctx != ctx for m in monomials):
             raise ContextMismatchError("generator from a different context")
-        return cls(ctx, minimal_exponents(m.exponents for m in monomials))
+        return ideal
 
     @classmethod
     def from_masks(cls, ctx: VariableContext, masks: Iterable[int]) -> "MonomialIdeal":

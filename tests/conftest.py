@@ -17,9 +17,9 @@ def ctx4():
 
 def mono(ctx, text: str):
     """Build a monomial from a compact string like 'x^2*y' (test helper)."""
-    from kdecomp.documents import monomial_from_string
+    from kdecomp.documents import exponents_from_string
 
-    return monomial_from_string(text, ctx)
+    return ctx.monomial(exponents_from_string(text, ctx))
 
 
 def dim(delta) -> int:

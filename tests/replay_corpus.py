@@ -4,7 +4,9 @@ Each entry of the corpus directory is one JSON file holding:
 
 - `argv`: the arguments after `kdecomp`;
 - `input`: the document piped to stdin, either literal or
-  `{"generate": name, "args": [...]}` for one of the GENERATORS below;
+  `{"generate": name, "args": [...]}` for one of the GENERATORS below,
+  which returns the document, or its text where `json.dumps` cannot
+  write it;
 - `exit`: the expected exit status;
 - `stdout` and/or `stderr`: the exact expected text (a stream without
   its key is not compared);
@@ -81,6 +83,18 @@ def square_and_cycle(n: int) -> dict:
     return {"kind": "ideal", "vars": names, "gens": ["x0^2"] + edges}
 
 
+def rising_powers(n: int) -> dict:
+    """The ideal (x0, x1^2, ..., x(n-1)^n)."""
+    names = [f"x{i}" for i in range(n)]
+    return {"kind": "ideal", "vars": names, "gens": [f"x{i}^{i + 1}" for i in range(n)]}
+
+
+def long_exponent(digits: int) -> str:
+    """The text of the ideal (x^N), N written with `digits` nines: past
+    int()'s digit limit, json.dumps cannot write it."""
+    return '{"kind": "ideal", "vars": ["x"], "gens": [[' + "9" * digits + "]]}"
+
+
 def seeded_rows(seed: int, n: int, count: int) -> dict:
     """`count` seeded exponent rows on n variables, entries drawn from
     0, 0, 0, 1, 2, with the zero rows dropped."""
@@ -100,6 +114,8 @@ GENERATORS = {
         skeleton,
         variables,
         square_and_cycle,
+        rising_powers,
+        long_exponent,
     )
 }
 
@@ -122,7 +138,7 @@ def document(entry: dict) -> str:
     spec = entry["input"]
     if "generate" in spec:
         spec = GENERATORS[spec["generate"]](*spec["args"])
-    return json.dumps(spec) + "\n"
+    return (spec if isinstance(spec, str) else json.dumps(spec)) + "\n"
 
 
 def replay(entry: dict) -> str | None:

@@ -24,7 +24,8 @@ CHEAP = "chordal-4-cycle.json"
 def test_entry_is_well_formed(path):
     entry = replay_corpus.load(path)
     assert entry["why"] and entry["argv"] and entry["exit"] in (0, 1, 2, 3) and entry["timeout"] > 0
-    json.loads(replay_corpus.document(entry))
+    # integers stay text: one entry holds an integer longer than int() reads
+    json.loads(replay_corpus.document(entry), parse_int=str)
 
 
 def test_unknown_generator_is_refused(tmp_path):

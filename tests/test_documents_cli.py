@@ -12,7 +12,7 @@ from kdecomp.cli import main
 from kdecomp.documents import (
     certificate_text,
     emit_object,
-    monomial_from_string,
+    exponents_from_string,
     parse_document,
     parse_object,
 )
@@ -92,7 +92,7 @@ def test_monomial_string_round_trip(ctx4):
 
     for _ in range(100):
         m = random_monomial(rng, ctx4, 4)
-        assert monomial_from_string(str(m), ctx4) == m
+        assert exponents_from_string(str(m), ctx4) == m.exponents
 
 
 def test_document_round_trip(ctx4):
@@ -412,6 +412,22 @@ def test_cli_parse_error_exit(capsys, monkeypatch):
     )
     assert code == 2
     assert "syntax error" in err
+
+
+@pytest.mark.parametrize("argv", [["dual"], ["betti", "--method", "oracle"]])
+def test_cli_refuses_an_integer_too_long_to_read(capsys, monkeypatch, argv):
+    # json.loads raises a plain ValueError past int()'s digit limit
+    limit = sys.get_int_max_str_digits()
+    document = '{"kind":"ideal","vars":["x"],"gens":[[' + "9" * (limit + 1) + "]]}"
+    code, out, err = run_cli(capsys, argv, document, monkeypatch)
+    assert (code, out, err) == (2, "", f"error: a number in the document has more than {limit} digits\n")
+    # a syntax error still names its position
+    code, out, err = run_cli(capsys, argv, '{"kind": "ideal",\n  bad}', monkeypatch)
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: syntax error at line 2, column 3:"
+        " Expecting property name enclosed in double quotes\n"
+    )
 
 
 def test_cli_undecodable_input_exit(tmp_path, capsys, monkeypatch):

@@ -3,6 +3,7 @@ from __future__ import annotations
 from random import Random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from kdecomp import (
     ContextMismatchError,
@@ -10,7 +11,9 @@ from kdecomp import (
     MonomialIdeal,
     VariableContext,
 )
+from kdecomp.documents import parse_object
 from kdecomp.generators import random_monomial
+from kdecomp.monomials import minimal_exponents
 
 from conftest import ideal, mono
 
@@ -92,11 +95,14 @@ def test_minimalize_rejects_unit(ctx3, ctx4):
         MonomialIdeal.from_masks(ctx3, [0b001, 0b1000])
 
 
-def minimal_by_definition(monomials):
-    """Keep m when no distinct m' divides it; decreasing exponent order."""
-    distinct = set(monomials)
-    kept = [m for m in distinct if not any(o != m and o.divides(m) for o in distinct)]
-    return tuple(sorted(kept, key=lambda m: m.exponents, reverse=True))
+def minimal_by_all_pairs(exps):
+    """Drop every tuple that another distinct tuple divides; decreasing lex order."""
+    distinct = set(exps)
+    kept = [
+        e for e in distinct
+        if not any(o != e and all(a <= b for a, b in zip(o, e)) for o in distinct)
+    ]
+    return tuple(sorted(kept, reverse=True))
 
 
 def test_minimalize_idempotent_and_order_insensitive(ctx4):
@@ -104,10 +110,55 @@ def test_minimalize_idempotent_and_order_insensitive(ctx4):
     for _ in range(100):
         monomials = [random_monomial(rng, ctx4, 3) for _ in range(rng.randint(1, 8))]
         first = MonomialIdeal.from_monomials(ctx4, monomials)
-        assert first.gens == minimal_by_definition(monomials)
+        assert first.exps == minimal_by_all_pairs(m.exponents for m in monomials)
         rng.shuffle(monomials)
         assert MonomialIdeal.from_monomials(ctx4, monomials) == first
         assert MonomialIdeal.from_monomials(ctx4, first.gens) == first
+
+
+@st.composite
+def tuple_multisets(draw):
+    """Exponent tuples of one length from 1 to 8, with duplicates and with
+    permuted copies, which have the same degree and are often distinct."""
+    n = draw(st.integers(1, 8))
+    base = draw(st.lists(st.tuples(*[st.integers(0, 3)] * n), max_size=12))
+    permuted = [tuple(draw(st.permutations(e))) for e in base[:4]]
+    return draw(st.permutations(base + permuted + base[:3]))
+
+
+@settings(max_examples=400, derandomize=True, database=None, deadline=None)
+@given(tuple_multisets())
+def test_minimal_exponents_matches_all_pairs(exps):
+    assert minimal_exponents(exps) == minimal_by_all_pairs(exps)
+
+
+def test_parse_forms_give_one_ideal():
+    # strings, exponent lists, and exponent lists shuffled and repeated: one
+    # ideal and one warning, as each holds the multiple x^3*y^2*z of x^2*y
+    rng = Random(17)
+    names = ["x", "y", "z", "w"]
+    for _ in range(50):
+        rows = [[rng.randint(0, 3) for _ in names] for _ in range(rng.randint(1, 7))]
+        rows = [r for r in rows if any(r)] + [[2, 1, 0, 0], [3, 2, 1, 0]]
+        texts = [
+            "*".join(f"{v}^{e}" for v, e in zip(names, r) if e) for r in rows
+        ]
+        shuffled = rows + rows[: rng.randint(1, len(rows))]
+        rng.shuffle(shuffled)
+        parsed = [
+            parse_object({"kind": "ideal", "vars": names, "gens": gens})
+            for gens in (texts, rows, shuffled)
+        ]
+        assert parsed[0].value == parsed[1].value == parsed[2].value
+        assert parsed[0].value.exps == minimal_by_all_pairs(map(tuple, rows))
+        for p in parsed:
+            assert p.warnings == ["duplicate or non-minimal generators were minimalized"]
+
+
+def test_parse_refuses_a_unit_generator_in_either_form():
+    for gens in (["x", "1"], ["x^0*y^0"], [[1, 0], [0, 0]], [[0, 0], "y"]):
+        with pytest.raises(ImproperIdealError, match="generators contain 1"):
+            parse_object({"kind": "ideal", "vars": ["x", "y"], "gens": gens})
 
 
 def test_canonical_generator_order(ctx3):

@@ -57,7 +57,10 @@ Koszul table an lcm of degree at most LCM_DEGREE_BUDGET;
 bound, ORACLE_WORK_BUDGET, limits both routes further: the joins that
 build the lcm lattice (each generator joined with every degree found
 before it), and for Hochster the lattice degrees times the faces of the
-nonface complex, as each degree scans every face.  `_nonface_levels`
+nonface complex, as each degree scans every face.  Hochster joins its
+generators in their renumbered order (see below); the join count depends
+on that order, the degrees and faces do not, so the renumbering can move
+a verdict only for an input right at the budget.  `_nonface_levels`
 counts the faces as it finds them, so a refusal costs at most the
 budget's share of faces and no rank.  The Koszul route builds a complex
 at each lattice degree instead, and KOSZUL_FACE_BUDGET bounds the faces
@@ -67,15 +70,22 @@ degree's faces pass what is left, and that degree is not ranked.
 One cache holds the oracles' tables, keyed by route, generators and
 field; once it holds ORACLE_CACHE_SIZE tables, the oldest is dropped
 first.  The Koszul routes key an ideal by its exponent tuples.  The
-Hochster route keys it by the ascending tuple of its minimal support
-masks, and `hochster_from_masks` takes that tuple directly, so a caller
-that holds the masks (a clutter's edges, say) builds no ideal;
-`betti_hochster` converts a squarefree ideal's generators once and calls
-it.
+Hochster route keys it by its minimal support masks with the vertices
+renumbered (`_relabelled`: in the order of a cheap vertex invariant, the
+masks then sorted), and builds the table from those masks.  That is the
+same table: beta_{i,j} is the sum over the j-sets W of variables of
+dim H~_{j-i-1}(Delta_W), and a permutation p of the variables maps
+Delta_W onto (p Delta)_{p W}, so renaming the variables permutes the
+terms of each sum.  So the renamed copies of one ideal, such as the
+isomorphic minors of a clutter, mostly share one table.
+`hochster_from_masks` takes the masks in any order, so a caller that
+holds them (a clutter's edges, say) builds no ideal; `betti_hochster`
+converts a squarefree ideal's generators once and calls it.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from functools import lru_cache, reduce
 from math import isqrt
 from operator import and_, or_
@@ -300,7 +310,7 @@ def _oracle_table(gens: tuple, field, route: str) -> BettiTable:
     """The Betti table of the ideal generated by `gens` by one oracle
     route, cached per route, generators and field.
 
-    `gens` are the sorted minimal support masks for "hochster" and the
+    `gens` are the renumbered minimal support masks for "hochster" and the
     exponent tuples of the minimal generators for "koszul".  Both routes
     run the same loop over multidegrees a; only the face test on the
     subsets s of supp(a) and the homological index differ:
@@ -383,13 +393,45 @@ def _oracle_table(gens: tuple, field, route: str) -> BettiTable:
     return table
 
 
-def hochster_from_masks(masks: tuple[int, ...], field=None) -> BettiTable:
+def _relabelled(masks: Sequence[int]) -> tuple[int, ...]:
+    """The masks with their vertices renumbered 0, 1, ... in the order of
+    the multiset of sizes of the masks through each vertex, ties by
+    index, then sorted.
+
+    The multiset is one int, 5 bits a size: a vertex in more than 31
+    masks of one size carries into the next digit.  Any order would do,
+    as renumbering only renames the variables; the invariant only decides
+    which renamed copies meet in the cache.  Masks already renumbered come
+    back unchanged, since their vertices are in that order.
+    """
+    sizes: dict[int, int] = {}
+    for g in masks:
+        w = 1 << 5 * g.bit_count()
+        while g:
+            low = g & -g
+            sizes[low] = sizes.get(low, 0) + w
+            g ^= low
+    new = {low: 1 << i for i, low in enumerate(sorted(sorted(sizes), key=sizes.__getitem__))}
+    out = []
+    for g in masks:
+        r = 0
+        while g:
+            low = g & -g
+            r |= new[low]
+            g ^= low
+        out.append(r)
+    out.sort()
+    return tuple(out)
+
+
+def hochster_from_masks(masks: Sequence[int], field=None) -> BettiTable:
     """Graded Betti numbers of the squarefree ideal whose minimal
-    generators have the support masks `masks`, an ascending tuple of
-    pairwise incomparable nonzero masks (not checked), by Hochster's
-    formula: induced-subcomplex homology of the nonface complex, summed
-    over unions of generator supports."""
-    return _oracle_table(masks, field, "hochster")
+    generators have the support masks `masks`, pairwise incomparable
+    nonzero masks in any order (not checked), by Hochster's formula:
+    induced-subcomplex homology of the nonface complex, summed over
+    unions of generator supports.  The table is built and cached for the
+    masks renumbered by `_relabelled`, which is the same table."""
+    return _oracle_table(_relabelled(masks), field, "hochster")
 
 
 def betti_hochster(ideal: MonomialIdeal, field=None) -> BettiTable:
@@ -397,8 +439,7 @@ def betti_hochster(ideal: MonomialIdeal, field=None) -> BettiTable:
     (see `hochster_from_masks`)."""
     if not ideal.is_squarefree:
         raise ValueError("this oracle needs a squarefree ideal")
-    masks = sorted(sum(e << v for v, e in enumerate(g)) for g in ideal.exps)
-    return hochster_from_masks(tuple(masks), field)
+    return hochster_from_masks([sum(e << v for v, e in enumerate(g)) for g in ideal.exps], field)
 
 
 def betti_koszul(ideal: MonomialIdeal, field=None) -> BettiTable:

@@ -241,6 +241,41 @@ def test_oracles_match_the_subset_reference(squarefree):
         assert betti_koszul(squarefree, field) == reference
 
 
+@st.composite
+def renamed_squarefree_ideals(draw):
+    """A squarefree ideal of `squarefree_ideals` and a permutation of its
+    variables."""
+    squarefree = draw(squarefree_ideals())
+    return squarefree, draw(st.permutations(range(squarefree.ctx.n)))
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(renamed_squarefree_ideals(), st.sampled_from((None, 2)))
+@example((rp2_nonface_ideal(), [3, 0, 5, 1, 4, 2]), 2)
+def test_renaming_the_variables_keeps_the_hochster_table(renaming, field):
+    """Hochster's formula sums over sets of variables, so a permutation of
+    them leaves the table unchanged; the cache, keyed by the renumbered
+    masks, holds one table for every renumbered copy."""
+    squarefree, perm = renaming
+    ctx = squarefree.ctx
+
+    def ideal_of(masks):
+        return MonomialIdeal.from_masks(ctx, masks)
+
+    masks = [sum(e << v for v, e in enumerate(g)) for g in squarefree.exps]
+    renamed = [sum(1 << perm[v] for v in bits(m)) for m in masks]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(homology, "_oracle_cache", {})
+        table = betti_hochster(squarefree, field)
+        mp.setattr(homology, "_oracle_cache", {})
+        renamed_table = betti_hochster(ideal_of(renamed), field)
+        assert renamed_table == table == betti_koszul(ideal_of(renamed), field)
+        entries = set(homology._oracle_cache)
+        renumbered = homology._relabelled(renamed)
+        assert betti_hochster(ideal_of(renumbered), field) is renamed_table
+        assert set(homology._oracle_cache) == entries
+
+
 def test_koszul_lattice_scan_equals_full_scan(ctx3, ctx4):
     # the multidegree pruning is a pure optimization; most box degrees of
     # a non-squarefree ideal are cones

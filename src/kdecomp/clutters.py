@@ -2,22 +2,24 @@
 
 A clutter is an antichain of nonempty edges over an explicit vertex set,
 kept as an int mask and an ascending tuple of edge masks; ``vertices``
-and ``edges`` view them as frozensets.  Direct construction checks
-nothing; :meth:`Clutter.from_edges` is the checked constructor: its
-vertices lie in the context and its edges have at least two vertices.
-Minors are antichains by construction and are not checked again, and
-deletion, contraction and the simplicial-vertex test each have one
-implementation on masks, which the chordality search calls directly.
-Contraction may leave singleton edges (their edge ideals then pick up
-degree-one generators), and deleting a vertex keeps the remaining
-vertices even when they become isolated.
+and ``edges`` are frozenset views for callers only.  Direct construction
+checks nothing; :meth:`Clutter.from_edges` is the checked constructor:
+its vertices lie in the context and its edges have at least two
+vertices.  Minors are antichains by construction and are not checked
+again.  Deletion, contraction and the simplicial-vertex test each have
+one implementation on masks, which the chordality search calls directly;
+the lemma's minors H \\ v (v in sigma = e - {x}) and H / sigma are read
+off the edge masks once, through the same two, for both `lemma_h_ideals`
+and `chordal_reg_bound`.  Contraction may leave singleton edges (their
+edge ideals then pick up degree-one generators), and deleting a vertex
+keeps the remaining vertices even when they become isolated.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from itertools import combinations
+from itertools import chain, combinations
 from operator import or_
 from typing import Iterable
 
@@ -76,12 +78,11 @@ class Clutter:
         return not self.edge_masks
 
     def __str__(self) -> str:
-        names = self.ctx.set_names
-        verts = "{" + ",".join(names(self.vertices)) + "}"
-        edges = ", ".join(
-            "{" + ",".join(names(e)) + "}" for e in sorted(self.edges, key=sorted)
-        )
-        return f"clutter({verts}; [{edges}])"
+        def braced(mask: int) -> str:
+            return "{" + ",".join(self.ctx.set_names(bits(mask))) + "}"
+
+        edges = ", ".join(map(braced, sorted(self.edge_masks, key=bits)))
+        return f"clutter({braced(self.vertex_mask)}; [{edges}])"
 
 
 def _inside(edges: Iterable[int], mask: int) -> bool:
@@ -134,12 +135,15 @@ def contraction_set(clutter: Clutter, vertices: Iterable[int]) -> Clutter:
 
     The result does not depend on the elimination order.
     """
-    todo = frozenset(vertices)
-    if _inside(clutter.edge_masks, mask_of(todo & clutter.vertices)):
+    vertices = list(vertices)
+    known = mask_of(v for v in vertices if v >= 0) & clutter.vertex_mask
+    if _inside(clutter.edge_masks, known):
         raise ImproperContractionError("an edge lies inside the contraction set")
+    if unknown := [v for v in vertices if v < 0 or not known >> v & 1]:
+        raise KeyError(f"unknown vertex {min(unknown)}")
     minor = clutter.vertex_mask, clutter.edge_masks
-    for v in sorted(todo):
-        minor = _contract(*minor, _vertex_bit(clutter, v))
+    for v in bits(known):
+        minor = _contract(*minor, 1 << v)
     return Clutter(clutter.ctx, *minor)
 
 
@@ -148,15 +152,21 @@ def is_simplicial_vertex(clutter: Clutter, v: int) -> bool:
     return _is_simplicial(clutter.edge_masks, _vertex_bit(clutter, v))
 
 
-def _sigma_mask(clutter: Clutter, x: int, e: Iterable[int]) -> int:
-    """The mask of sigma = e - {x}, for an edge e of the clutter through x
-    with another vertex besides x."""
-    e = frozenset(e)
-    if e not in clutter.edges or x not in e:
+def _lemma_minors(clutter: Clutter, x: int, e: frozenset[int]) -> tuple[int, list, tuple]:
+    """For an edge e of the clutter through x with another vertex besides x:
+    the mask of sigma = e - {x}, the edge masks of H \\ v for each v in
+    sigma (ascending), and the edge masks of H / sigma."""
+    e_mask = mask_of(e) if min(e, default=0) >= 0 else 0  # a negative vertex is in no edge
+    if x < 0 or e_mask not in clutter.edge_masks or not e_mask >> x & 1:
         raise ValueError("need a vertex contained in an edge of the clutter")
-    if len(e) < 2:
+    sigma = e_mask ^ (1 << x)
+    if not sigma:
         raise ValueError("the edge must have another vertex besides x")
-    return mask_of(e - {x})
+    minor = clutter.vertex_mask, clutter.edge_masks
+    deletions = [_delete(*minor, 1 << v)[1] for v in bits(sigma)]
+    for v in bits(sigma):
+        minor = _contract(*minor, 1 << v)
+    return sigma, deletions, minor[1]
 
 
 @dataclass(frozen=True)
@@ -244,19 +254,13 @@ def lemma_h_ideals(
     sigma.  Both are checked against the complex-side computation; a
     mismatch is an internal error.
     """
-    sigma_mask = _sigma_mask(clutter, x, e)
-    sigma = frozenset(bits(sigma_mask))
+    sigma, deletions, contracted = _lemma_minors(clutter, x, e)
+    deletion_ideal = MonomialIdeal.from_masks(clutter.ctx, [sigma, *chain(*deletions)])
+    link_ideal = MonomialIdeal.from_masks(clutter.ctx, contracted)
 
-    masks = [sigma_mask]
-    for v in sorted(sigma):
-        masks.extend(deletion(clutter, v).edge_masks)
-    deletion_ideal = MonomialIdeal.from_masks(clutter.ctx, masks)
-    link_ideal = edge_ideal(contraction_set(clutter, sigma))
-
-    delta = complex_from_nonfaces(clutter)
-    ambient = clutter.vertices
-    expected_del = stanley_reisner_ideal(delete_face(delta, sigma), ambient)
-    expected_link = stanley_reisner_ideal(link(delta, sigma), ambient - sigma)
+    delta, face = complex_from_nonfaces(clutter), bits(sigma)
+    expected_del = stanley_reisner_ideal(delete_face(delta, face), bits(clutter.vertex_mask))
+    expected_link = stanley_reisner_ideal(link(delta, face), bits(clutter.vertex_mask & ~sigma))
     if deletion_ideal != expected_del or link_ideal != expected_link:
         raise PropertyViolationError(
             "clutter-minor ideals disagree with the complex computation "
@@ -313,9 +317,8 @@ def chordal_reg_bound(
     e = frozenset(e)
     if not is_simplicial_vertex(clutter, x):
         raise ValueError(f"{clutter.ctx.names[x]} is not a simplicial vertex")
-    sigma_mask = _sigma_mask(clutter, x, e)
-    sigma = bits(sigma_mask)
-    d = len(sigma)
+    sigma, deletions, contracted = _lemma_minors(clutter, x, e)
+    d = sigma.bit_count()
 
     def quotient_reg(edges: tuple[int, ...]) -> int:
         """reg R/I for the edge masks of I; an edgeless minor gives 0."""
@@ -323,13 +326,9 @@ def chordal_reg_bound(
 
     edges = clutter.edge_masks
     reg = quotient_reg(edges)
-    identity_deletion = quotient_reg(antichain([sigma_mask, *edges], minimal=True))
-    link_term = quotient_reg(contraction_set(clutter, sigma).edge_masks) + d
-    bound_deletion = (
-        sum(quotient_reg(_delete(clutter.vertex_mask, edges, 1 << v)[1]) for v in sigma)
-        + d
-        - 1
-    )
+    identity_deletion = quotient_reg(antichain([sigma, *edges], minimal=True))
+    link_term = quotient_reg(contracted) + d
+    bound_deletion = sum(map(quotient_reg, deletions)) + d - 1
     report = ChordalBoundReport(
         clutter=clutter,
         x=x,

@@ -148,7 +148,7 @@ def parse_object(obj) -> ParsedDocument:
         value = build(ctx, sets, vertices=declared)
     except ValueError as exc:
         raise DocumentError(str(exc)) from None
-    if len(getattr(value, key)) != len(set(sets)) or len(set(sets)) != len(sets):
+    if len(value.facet_masks if kind == "complex" else value.edge_masks) != len(sets):
         warnings.append(f"duplicate or {reduced} were reduced")
     return ParsedDocument(kind, value, warnings)
 

@@ -357,10 +357,10 @@ def _oracle_table(gens: tuple, field, route: str) -> BettiTable:
             j = a.bit_count()
             sub = []
             for level in levels:
-                faces = [s for s in level if s | a == a]
-                if not faces:
+                below = [s for s in level if s | a == a]
+                if not below:
                     break
-                sub.append(faces)
+                sub.append(below)
         else:
             supp, j = sum(1 << v for v, e in enumerate(a) if e), sum(a)
             # tight(g, a) = {i : g_i = a_i > 0} for each generator g <= a

@@ -82,6 +82,32 @@ def test_contraction_set(ctx3, ctx4):
         contraction_set(tri, [0, 1])
 
 
+def test_contraction_set_refuses_an_edge_before_an_unknown_vertex(ctx4):
+    path = Clutter.from_edges(ctx4, [[0, 1], [1, 2]])
+    with pytest.raises(ImproperContractionError):
+        contraction_set(path, [3, 0, 1, -1])
+    for vertices, unknown in (([2, 3], 3), ([3, -1, 0], -1), ([9, 3], 3)):
+        with pytest.raises(KeyError, match=f"^'unknown vertex {unknown}'$"):
+            contraction_set(path, vertices)
+
+
+def test_lemma_minors_refuse_in_order(ctx4):
+    path = Clutter.from_edges(ctx4, [[0, 1], [1, 2]])
+    singleton = contraction(path, 0)  # the one edge {1}
+    outside = "^need a vertex contained in an edge of the clutter$"
+    for clutter, e, x in (
+        (path, [0, 2], 0), (path, [0, 1], 2), (path, [0, -1], 0), (path, [0, 1], -1),
+        (singleton, [1], 2),
+    ):
+        with pytest.raises(ValueError, match=outside):
+            lemma_h_ideals(clutter, frozenset(e), x)
+    lone = "^the edge must have another vertex besides x$"
+    with pytest.raises(ValueError, match=lone):
+        lemma_h_ideals(singleton, frozenset([1]), 1)
+    with pytest.raises(ValueError, match=lone):
+        chordal_reg_bound(singleton, 1, [1])
+
+
 def test_contraction_set_order_independent(ctx4):
     rng = Random(3)
     for _ in range(80):

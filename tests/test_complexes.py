@@ -322,6 +322,22 @@ def test_delete_face(ctx3):
     assert delete_face(full, [1, 2]).vertices == frozenset({0, 1, 2})
 
 
+def test_complex_constructors_reject_vertices_outside_the_context(ctx3):
+    for facets, vertices in (([[0, -1]], None), ([[0, 5]], None), ([[0, 1]], [7])):
+        with pytest.raises(ValueError, match="^vertex index outside the context$"):
+            SimplicialComplex.from_facets(ctx3, facets, vertices=vertices)
+    with pytest.raises(ValueError, match="^vertex index outside the context$"):
+        independence_complex(ctx3, [0, 1, 5], [[0, 1]])
+
+
+def test_complex_operations_refuse_bad_arguments(ctx3):
+    tri = triangle(ctx3)
+    with pytest.raises(ValueError, match="^ambient must contain the vertex set of the complex$"):
+        stanley_reisner_ideal(tri, ambient=[0, 1])
+    with pytest.raises(ValueError, match="^delete_face needs a nonempty face$"):
+        delete_face(tri, [])
+
+
 def test_degenerate_flags(ctx3):
     void = SimplicialComplex.void(ctx3)
     irr = SimplicialComplex.irrelevant(ctx3)

@@ -1,8 +1,9 @@
 """The corpus of hard inputs and its replay script (tests/replay_corpus.py).
 
 The corpus itself, with its time bounds, is replayed in CI; here only its
-format and one cheap entry are checked, so that a broken entry or a
-replay that passes everything would show."""
+format, one cheap entry and the README's table of budgets are checked, so
+that a broken entry, a replay that passes everything or a table row naming
+no refusal would show."""
 
 from __future__ import annotations
 
@@ -10,6 +11,7 @@ import json
 import shutil
 import subprocess
 import sys
+from itertools import takewhile
 from pathlib import Path
 
 import pytest
@@ -18,6 +20,8 @@ import replay_corpus
 
 SCRIPT = Path(replay_corpus.__file__)
 CHEAP = "chordal-4-cycle.json"
+README = SCRIPT.parents[1] / "README.md"
+BUDGET_HEADER = "| Entry point | Bound | Corpus entry |"
 
 
 @pytest.mark.parametrize("path", sorted(replay_corpus.CORPUS.glob("*.json")), ids=lambda p: p.stem)
@@ -26,6 +30,22 @@ def test_entry_is_well_formed(path):
     assert entry["why"] and entry["argv"] and entry["exit"] in (0, 1, 2, 3) and entry["timeout"] > 0
     # integers stay text: one entry holds an integer longer than int() reads
     json.loads(replay_corpus.document(entry), parse_int=str)
+
+
+def budget_table_entries(text: str) -> list[str]:
+    """The corpus entries named in the last column of the README's table of
+    budgets, one per row after the header and its rule."""
+    lines = text.splitlines()
+    rows = takewhile(lambda row: row.startswith("|"), lines[lines.index(BUDGET_HEADER) + 2 :])
+    return [row.rsplit("|", 2)[1].strip().strip("`") for row in rows]
+
+
+def test_readme_budget_table_names_refusing_entries():
+    names = budget_table_entries(README.read_text(encoding="utf-8"))
+    assert names
+    for name in names:
+        entry = replay_corpus.load(replay_corpus.CORPUS / f"{name}.json")
+        assert entry["exit"] == 3 and entry.get("stderr", "").startswith("undecided: "), name
 
 
 def test_unknown_generator_is_refused(tmp_path):

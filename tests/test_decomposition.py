@@ -7,6 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from kdecomp import (
     BudgetExceededError,
+    ContextMismatchError,
     ImproperIdealError,
     IdealLeaf,
     IdealNode,
@@ -15,6 +16,7 @@ from kdecomp import (
     InvalidCertificateError,
     MonomialIdeal,
     NotAFaceError,
+    QuotientOrder,
     SimplicialComplex,
     VariableContext,
     ZeroIdealError,
@@ -262,6 +264,17 @@ def test_facet_complement_ideal_rejects_a_facet_on_every_vertex(ctx3):
     assert facet_complement_ideal(lone) == ideal(ctx3, "z")
 
 
+def test_facet_complement_ideal_refuses_the_void_complex(ctx3):
+    with pytest.raises(ZeroIdealError, match="^the void complex has no facet-complement ideal$"):
+        facet_complement_ideal(SimplicialComplex.void(ctx3))
+
+
+def test_complex_search_refuses_an_unknown_mode(ctx3):
+    tri = SimplicialComplex.from_facets(ctx3, [[0, 1], [0, 2], [1, 2]])
+    with pytest.raises(ValueError, match="^unknown mode 'bogus'$"):
+        k_decomposable_complex(tri, 0, mode="bogus")
+
+
 def test_pointwise_shedding_transport(ctx4):
     # sigma sheds the complex iff the support monomial sheds the
     # facet-complement ideal
@@ -321,6 +334,30 @@ def test_invalid_certificate_rejected(ctx3):
     # u = 1 leaves I^u empty: the shedding check rejects it, not a leaf below
     with pytest.raises(InvalidCertificateError, match="^1 is not a shedding monomial here$"):
         verify_ideal_certificate(IdealNode(ctx3.one(), deletion, yz))
+    # leaves x*y and x: the leaves must be the minimal generators
+    x_below_xy = IdealNode(
+        mono(ctx3, "y"), IdealLeaf(mono(ctx3, "x*y")), IdealLeaf(mono(ctx3, "x"))
+    )
+    not_minimal = "^certificate leaves are not a minimal set$"
+    for check in (verify_ideal_certificate, order_from_certificate, betti_recursive,
+                  pd_reg_from_certificate):
+        with pytest.raises(InvalidCertificateError, match=not_minimal):
+            check(x_below_xy)
+    valid = IdealNode(mono(ctx3, "x"), deletion, yz)
+    other_ideal = "^certificate does not describe this ideal$"
+    with pytest.raises(InvalidCertificateError, match=other_ideal):
+        verify_ideal_certificate(valid, -1, ideal(ctx3, "x*y", "x*z"))
+    # x*y sheds (x*z, y, z^2): valid at k = 1, its support too large at k = 0
+    wide = k_decomposable_ideal(ideal(ctx3, "x*z", "y", "z^2"), 1)
+    assert wide.u == mono(ctx3, "x*y") and verify_ideal_certificate(wide, 1)
+    with pytest.raises(InvalidCertificateError, match=r"^\|supp\(u\)\| = 2 exceeds k \+ 1 = 1$"):
+        verify_ideal_certificate(wide, 0)
+    with pytest.raises(ContextMismatchError, match="^u lives in a different context$"):
+        split(i, mono(other, "a"))
+    order = order_from_certificate(valid)
+    forged = QuotientOrder(order.order, (order.sets[0], order.sets[2], order.sets[2]))
+    with pytest.raises(InvalidCertificateError, match="^colon ideal at position 1 is not the"):
+        forged.verify()
 
     from kdecomp import reg_pd_complex
 

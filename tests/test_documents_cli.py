@@ -592,6 +592,37 @@ def test_cli_verify_rejects_negative_count(capsys):
     assert "-3" in err
 
 
+def test_cli_verify_reports_a_counterexample(capsys, monkeypatch):
+    from kdecomp import cli
+
+    for flag in ([], ["--json"]):
+        outcomes = iter([True, True, "forged instance"])
+
+        def check(rng, ctx, memo):
+            return next(outcomes)
+
+        monkeypatch.setitem(cli._PROPERTIES, "terao", (check, 3, 1, "samples"))
+        argv = ["verify", "terao", "--seed", "1", "--count", "5", *flag]
+        code, out, err = run_cli(capsys, argv)
+        assert code == 1 and err == ""
+        if flag:
+            obj = json.loads(out)
+            assert obj["verified"] == 2 and obj["counterexample"] == "forged instance"
+        else:
+            assert out == "counterexample after 2 instances: forged instance\n"
+
+
+def test_cli_verify_gives_up_when_every_attempt_is_skipped(capsys, monkeypatch):
+    from kdecomp import cli
+
+    def check(rng, ctx, memo):
+        return None
+
+    monkeypatch.setitem(cli._PROPERTIES, "terao", (check, 3, 4, "forged samples"))
+    code, out, err = run_cli(capsys, ["verify", "terao", "--seed", "1", "--count", "2"])
+    assert (code, out, err) == (3, "", "undecided: too few forged samples\n")
+
+
 @pytest.mark.parametrize("field", ["2147483648", "1000000000000000003"])
 def test_cli_field_too_large_names_the_bound(capsys, monkeypatch, field):
     # a field of 2**31 or more is refused for size before any primality

@@ -16,7 +16,6 @@ from .clutters import (
     apply_trace,
     chordal_reg_bound,
     contraction,
-    contraction_set,
     deletion,
     edge_ideal,
     graph_is_chordal_bruteforce,
@@ -28,7 +27,6 @@ from .complexes import (
     SimplicialComplex,
     alexander_dual_complex,
     alexander_dual_ideal,
-    complex_from_nonfaces,
     delete_face,
     independence_complex,
     link,

@@ -23,12 +23,7 @@ from itertools import chain, combinations
 from operator import or_
 from typing import Iterable
 
-from .complexes import (
-    complex_from_nonfaces,
-    delete_face,
-    link,
-    stanley_reisner_ideal,
-)
+from .complexes import delete_face, independence_complex, link, stanley_reisner_ideal
 from .errors import (
     BudgetExceededError,
     ImproperContractionError,
@@ -128,23 +123,6 @@ def contraction(clutter: Clutter, v: int) -> Clutter:
             f"contracting {clutter.ctx.names[v]!r} would create an empty edge"
         )
     return Clutter(clutter.ctx, *_contract(clutter.vertex_mask, clutter.edge_masks, bit))
-
-
-def contraction_set(clutter: Clutter, vertices: Iterable[int]) -> Clutter:
-    """Contract a set of vertices; no edge may be contained in the set.
-
-    The result does not depend on the elimination order.
-    """
-    vertices = list(vertices)
-    known = mask_of(v for v in vertices if v >= 0) & clutter.vertex_mask
-    if _inside(clutter.edge_masks, known):
-        raise ImproperContractionError("an edge lies inside the contraction set")
-    if unknown := [v for v in vertices if v < 0 or not known >> v & 1]:
-        raise KeyError(f"unknown vertex {min(unknown)}")
-    minor = clutter.vertex_mask, clutter.edge_masks
-    for v in bits(known):
-        minor = _contract(*minor, 1 << v)
-    return Clutter(clutter.ctx, *minor)
 
 
 def is_simplicial_vertex(clutter: Clutter, v: int) -> bool:
@@ -258,8 +236,9 @@ def lemma_h_ideals(
     deletion_ideal = MonomialIdeal.from_masks(clutter.ctx, [sigma, *chain(*deletions)])
     link_ideal = MonomialIdeal.from_masks(clutter.ctx, contracted)
 
-    delta, face = complex_from_nonfaces(clutter), bits(sigma)
-    expected_del = stanley_reisner_ideal(delete_face(delta, face), bits(clutter.vertex_mask))
+    face, vertices = bits(sigma), bits(clutter.vertex_mask)
+    delta = independence_complex(clutter.ctx, vertices, map(bits, clutter.edge_masks))
+    expected_del = stanley_reisner_ideal(delete_face(delta, face), vertices)
     expected_link = stanley_reisner_ideal(link(delta, face), bits(clutter.vertex_mask & ~sigma))
     if deletion_ideal != expected_del or link_ideal != expected_link:
         raise PropertyViolationError(
@@ -357,7 +336,9 @@ def chordal_reg_bound(
 
 def graph_is_chordal_bruteforce(clutter: Clutter) -> bool:
     """Classical chordality for 2-uniform clutters, decided independently:
-    scan every vertex subset for an induced chordless cycle of length >= 4."""
+    scan every vertex subset for an induced chordless cycle of length >= 4.
+    It is a reference, not a library path: tests and perfbench compare
+    `is_chordal` against it."""
     if any(e.bit_count() != 2 for e in clutter.edge_masks):
         raise ValueError("needs a graph (all edges of size 2)")
     verts = bits(clutter.vertex_mask)

@@ -7,20 +7,22 @@ masks, the facets as a sorted tuple; ``vertices`` and ``facets`` view
 them as frozensets.  :meth:`SimplicialComplex.from_facets` is the checked
 constructor: its vertices lie in the context and it keeps the maximal
 faces, through the antichain kernel of :mod:`kdecomp.monomials`, which
-clutters and squarefree ideals share.  Links, deletions, restrictions
-and duals are built from masks and are not checked again.
+clutters and squarefree ideals share.  Links, deletions and duals are
+built from masks and are not checked again.
 
 The two degenerate complexes are encoded by their facet sets:
 ``{}`` (void, no faces at all) has no facets, and ``{{}}`` (the complex
 whose only face is the empty set) has the single facet mask ``0``.
 
 Every duality goes through one helper on int masks,
-:func:`_minimal_transversals` (the blocker of a clutter): the minimal
-nonfaces are the minimal transversals of the facet complements, the
-facets of an independence complex are the complements of the minimal
-vertex covers of its edges, and the Alexander dual of a squarefree ideal
-is generated by the minimal transversals of its generator supports.
-Its search is bounded by TRANSVERSAL_BUDGET nodes.
+:func:`_minimal_transversals` (the blocker of a clutter).  The minimal
+nonfaces are the minimal transversals of the facet complements, and
+:func:`_nonface_masks` is the one nonface path, behind
+`minimal_nonfaces`, `stanley_reisner_ideal` and `alexander_dual_complex`.
+The facets of an independence complex are the complements of the
+minimal vertex covers of its edges, and the Alexander dual of a
+squarefree ideal is generated by the minimal transversals of its
+generator supports.  Its search is bounded by TRANSVERSAL_BUDGET nodes.
 """
 
 from __future__ import annotations
@@ -205,16 +207,17 @@ class SimplicialComplex:
         return text
 
 
-def minimal_nonfaces(delta: SimplicialComplex) -> frozenset[VertexSet]:
-    """Inclusion-minimal subsets of the vertex set that are not faces.
+def _nonface_masks(delta: SimplicialComplex) -> list[int]:
+    """The minimal nonfaces as ascending masks: a set is a nonface exactly
+    when it meets every facet complement.  The void complex gives ``[0]``."""
+    return _minimal_transversals([delta.vertex_mask ^ f for f in delta.facet_masks])
 
-    A set is a nonface exactly when it meets every facet complement.
-    """
+
+def minimal_nonfaces(delta: SimplicialComplex) -> frozenset[VertexSet]:
+    """Inclusion-minimal subsets of the vertex set that are not faces."""
     if delta.is_void:
         raise VoidComplexError("the void complex has no nonfaces convention")
-    x = delta.vertex_mask
-    covers = _minimal_transversals([x ^ f for f in delta.facet_masks])
-    return frozenset(frozenset(bits(c)) for c in covers)
+    return frozenset(frozenset(bits(c)) for c in _nonface_masks(delta))
 
 
 def stanley_reisner_ideal(
@@ -231,8 +234,7 @@ def stanley_reisner_ideal(
     ambient_mask = x if ambient is None else mask_of(ambient)
     if x & ~ambient_mask:
         raise ValueError("ambient must contain the vertex set of the complex")
-    masks = _minimal_transversals([x ^ f for f in delta.facet_masks])
-    masks += [1 << v for v in bits(ambient_mask ^ x)]
+    masks = _nonface_masks(delta) + [1 << v for v in bits(ambient_mask ^ x)]
     return MonomialIdeal.from_masks(delta.ctx, masks)
 
 
@@ -255,11 +257,6 @@ def independence_complex(
     return SimplicialComplex(ctx, reduce(or_, facets, 0), tuple(facets))
 
 
-def complex_from_nonfaces(clutter) -> SimplicialComplex:
-    """Independence complex of a clutter (its maximal edge-free subsets)."""
-    return independence_complex(clutter.ctx, clutter.vertices, clutter.edges)
-
-
 def alexander_dual_complex(delta: SimplicialComplex) -> SimplicialComplex:
     """The dual {X - F : F not a face}, on the same vertex set X.
 
@@ -268,11 +265,8 @@ def alexander_dual_complex(delta: SimplicialComplex) -> SimplicialComplex:
     Applied twice this is the identity.
     """
     x = delta.vertex_mask
-    if delta.is_void:
-        return SimplicialComplex(delta.ctx, x, (x,))
-    covers = _minimal_transversals([x ^ f for f in delta.facet_masks])
     # the complements of an antichain form an antichain
-    facets = sorted([x ^ c for c in covers])
+    facets = sorted([x ^ c for c in _nonface_masks(delta)])
     return SimplicialComplex(delta.ctx, x, tuple(facets))
 
 

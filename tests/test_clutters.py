@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+from functools import reduce
 from random import Random
 
 import pytest
@@ -12,7 +13,6 @@ from kdecomp import (
     apply_trace,
     chordal_reg_bound,
     contraction,
-    contraction_set,
     deletion,
     edge_ideal,
     graph_is_chordal_bruteforce,
@@ -70,25 +70,17 @@ def test_contraction(ctx3, ctx4):
 
 
 def test_contraction_set(ctx3, ctx4):
+    """Contracting a vertex set one vertex at a time."""
     pair = Clutter.from_edges(ctx4, [[0, 1, 2], [0, 1, 3]])
-    out = contraction_set(pair, [0, 1])
+    out = reduce(contraction, [0, 1], pair)
     assert out.edges == frozenset({frozenset({2}), frozenset({3})})
     tri = triangle(ctx3)
-    assert contraction_set(tri, []) == tri
-    assert contraction_set(tri, [1]).edges == frozenset(
+    assert reduce(contraction, [], tri) == tri
+    assert reduce(contraction, [1], tri).edges == frozenset(
         {frozenset({0}), frozenset({2})}
     )
     with pytest.raises(ImproperContractionError):
-        contraction_set(tri, [0, 1])
-
-
-def test_contraction_set_refuses_an_edge_before_an_unknown_vertex(ctx4):
-    path = Clutter.from_edges(ctx4, [[0, 1], [1, 2]])
-    with pytest.raises(ImproperContractionError):
-        contraction_set(path, [3, 0, 1, -1])
-    for vertices, unknown in (([2, 3], 3), ([3, -1, 0], -1), ([9, 3], 3)):
-        with pytest.raises(KeyError, match=f"^'unknown vertex {unknown}'$"):
-            contraction_set(path, vertices)
+        reduce(contraction, [0, 1], tri)
 
 
 def test_lemma_minors_refuse_in_order(ctx4):
@@ -109,6 +101,8 @@ def test_lemma_minors_refuse_in_order(ctx4):
 
 
 def test_contraction_set_order_independent(ctx4):
+    """Sequential contraction does not depend on the order; the lemma's
+    minors contract sigma in ascending order."""
     rng = Random(3)
     for _ in range(80):
         clutter = random_clutter(rng, ctx4, 4)
@@ -123,7 +117,7 @@ def test_contraction_set_order_independent(ctx4):
                 sequential = contraction(sequential, v)
         except ImproperContractionError:
             continue
-        assert contraction_set(clutter, subset) == sequential
+        assert reduce(contraction, sorted(subset), clutter) == sequential
 
 
 def test_is_simplicial_vertex(ctx3, ctx4):
@@ -248,6 +242,17 @@ def test_lemma_h_both_sides_random(ctx4):
         checked += 1
 
 
+def test_lemma_minors_build_no_frozenset_view(ctx4):
+    """`lemma_h_ideals` and `chordal_reg_bound` read only the masks: the
+    cached views `vertices` and `edges` of a fresh clutter stay unbuilt."""
+    path, pair = [[0, 1], [1, 2], [2, 3]], [[0, 1, 2], [0, 1, 3]]
+    for edges, x, e in ((path, 0, {0, 1}), (pair, 2, {0, 1, 2})):
+        clutter = Clutter.from_edges(ctx4, edges)
+        lemma_h_ideals(clutter, frozenset(e), x)
+        chordal_reg_bound(clutter, x, e)
+        assert "vertices" not in vars(clutter) and "edges" not in vars(clutter)
+
+
 def test_chordal_reg_bound_goldens(ctx3, ctx4):
     report = chordal_reg_bound(triangle(ctx3), 0, frozenset({0, 1}))
     assert (report.reg, report.identity_rhs, report.bound_rhs) == (1, 1, 1)
@@ -292,7 +297,8 @@ def test_chordal_reg_bound_masks_match_the_ideal_route(clutter):
                 report = chordal_reg_bound(clutter, x, e, field)
                 sigma = e - {x}
                 d = len(sigma)
-                link = quotient_reg(contraction_set(clutter, sigma).edge_masks, field) + d
+                contracted = reduce(contraction, sorted(sigma), clutter)
+                link = quotient_reg(contracted.edge_masks, field) + d
                 expected = dict(
                     d=d,
                     reg=quotient_reg(clutter.edge_masks, field),

@@ -18,7 +18,6 @@ from kdecomp import (
     VoidComplexError,
     alexander_dual_complex,
     alexander_dual_ideal,
-    complex_from_nonfaces,
     delete_face,
     independence_complex,
     k_decomposable_complex,
@@ -126,20 +125,20 @@ def brute_independence_facets(vertices, edges):
 
 def test_complex_from_nonfaces(ctx3, ctx4):
     tri = Clutter.from_edges(ctx3, [[0, 1], [0, 2], [1, 2]])
-    assert complex_from_nonfaces(tri).facets == frozenset(
+    assert independence_complex(tri.ctx, tri.vertices, tri.edges).facets == frozenset(
         {frozenset({0}), frozenset({1}), frozenset({2})}
     )
     path = Clutter.from_edges(ctx3, [[0, 1], [1, 2]])
-    assert complex_from_nonfaces(path).facets == frozenset(
+    assert independence_complex(path.ctx, path.vertices, path.edges).facets == frozenset(
         {frozenset({0, 2}), frozenset({1})}
     )
     edgeless = Clutter.from_edges(ctx3, [], vertices=[0, 1])
-    assert complex_from_nonfaces(edgeless).facets == frozenset({frozenset({0, 1})})
+    assert independence_complex(edgeless.ctx, edgeless.vertices, edgeless.edges).facets == frozenset({frozenset({0, 1})})
 
     rng = Random(29)
     for _ in range(60):
         clutter = random_clutter(rng, ctx4, 4)
-        got = complex_from_nonfaces(clutter).facets
+        got = independence_complex(clutter.ctx, clutter.vertices, clutter.edges).facets
         assert got == brute_independence_facets(clutter.vertices, clutter.edges)
 
     # raw edge families: singleton edges, an empty edge, no edges, and
@@ -284,7 +283,7 @@ def test_edge_ideal_is_nonface_ideal_of_independence_complex(ctx4):
     for _ in range(60):
         clutter = random_clutter(rng, ctx4, 4)
         assert edge_ideal(clutter) == stanley_reisner_ideal(
-            complex_from_nonfaces(clutter), ambient=clutter.vertices
+            independence_complex(clutter.ctx, clutter.vertices, clutter.edges), ambient=clutter.vertices
         )
 
 

@@ -251,7 +251,8 @@ def lemma_h_ideals(
 @dataclass(frozen=True)
 class ChordalBoundReport:
     """Both sides of the regularity identity and of the upper bound for a
-    simplicial vertex x with edge e; d = |e| - 1."""
+    simplicial vertex x with edge e; d = |e| - 1.  The bound's link term
+    is the identity's, `identity_link`."""
 
     clutter: Clutter
     x: int
@@ -261,7 +262,6 @@ class ChordalBoundReport:
     identity_deletion: int  # reg R/((prod sigma) + I(H))
     identity_link: int  # reg R/I(H / sigma) + d
     bound_deletion: int  # sum_i reg R/I(H \ x_i) + (d - 1)
-    bound_link: int  # reg R/I(H / sigma) + d
 
     @property
     def identity_rhs(self) -> int:
@@ -269,7 +269,7 @@ class ChordalBoundReport:
 
     @property
     def bound_rhs(self) -> int:
-        return max(self.bound_deletion, self.bound_link)
+        return max(self.bound_deletion, self.identity_link)
 
     @property
     def identity_holds(self) -> bool:
@@ -317,7 +317,6 @@ def chordal_reg_bound(
         identity_deletion=identity_deletion,
         identity_link=link_term,
         bound_deletion=bound_deletion,
-        bound_link=link_term,
     )
     if not report.identity_holds:
         raise PropertyViolationError(

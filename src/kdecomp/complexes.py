@@ -10,9 +10,9 @@ faces, through the antichain kernel of :mod:`kdecomp.monomials`, which
 clutters and squarefree ideals share.  Links, deletions and duals are
 built from masks and are not checked again.
 
-The two degenerate complexes are encoded by their facet sets:
-``{}`` (void, no faces at all) has no facets, and ``{{}}`` (the complex
-whose only face is the empty set) has the single facet mask ``0``.
+The two degenerate complexes are ``{}`` (void, no faces at all), with no
+facets, built by ``from_facets(ctx, [])``, and ``{{}}`` (only the empty
+face), with the single facet mask ``0``, built by ``from_facets(ctx, [()])``.
 
 Every duality goes through one helper on int masks,
 :func:`_minimal_transversals` (the blocker of a clutter).  The minimal
@@ -151,15 +151,6 @@ class SimplicialComplex:
         maximal = antichain(map(mask_of, sets))
         return cls(ctx, reduce(or_, maximal, mask_of(declared)), maximal)
 
-    @classmethod
-    def void(cls, ctx: VariableContext, vertices: Iterable[int] = ()) -> "SimplicialComplex":
-        return cls.from_facets(ctx, [], vertices)
-
-    @classmethod
-    def irrelevant(cls, ctx: VariableContext, vertices: Iterable[int] = ()) -> "SimplicialComplex":
-        """The complex {{}} whose single face is the empty set."""
-        return cls.from_facets(ctx, [()], vertices)
-
     @cached_property
     def vertices(self) -> VertexSet:
         return frozenset(bits(self.vertex_mask))
@@ -180,10 +171,6 @@ class SimplicialComplex:
     def is_simplex(self) -> bool:
         """One facet (the empty simplex {{}} counts) or void."""
         return len(self.facet_masks) <= 1
-
-    def has_face(self, face: Iterable[int]) -> bool:
-        s = mask_of(face)
-        return any(f & s == s for f in self.facet_masks)
 
     def faces(self) -> frozenset[VertexSet]:
         """All faces (the empty face included unless the complex is void)."""

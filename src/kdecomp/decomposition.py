@@ -427,11 +427,6 @@ def _fits(sigma: int, holders, ex) -> list[int]:
     return [f for f in holders if not sigma & ~ex[f]]
 
 
-def _sheds(sigma: int, holders, ex) -> bool:
-    """The exchange test for sigma, given the facets that hold it: each fits."""
-    return len(_fits(sigma, holders, ex)) == len(holders)
-
-
 def is_shedding_face(delta: SimplicialComplex, sigma) -> bool:
     """Exchange test: every face containing sigma can swap any vertex of
     sigma for some outside vertex and stay a face."""
@@ -442,7 +437,7 @@ def is_shedding_face(delta: SimplicialComplex, sigma) -> bool:
     holders = [f for f in facets if f & s == s]
     if not holders:
         raise NotAFaceError(f"{bits(s)} is not a face")
-    return _sheds(s, holders, _exchange_masks(holders, facets))
+    return len(_fits(s, holders, _exchange_masks(holders, facets))) == len(holders)
 
 
 @dataclass(frozen=True)
@@ -505,7 +500,7 @@ def _verified_complex_fold(delta, cert, leaf, join, k=-1):
         holders = [f for f in facets if f & sigma == sigma]
         if not holders:
             raise InvalidCertificateError(f"{sorted(c.sigma)} is not a face")
-        if not _sheds(sigma, holders, _exchange_masks(holders, facets)):
+        if len(_fits(sigma, holders, _exchange_masks(holders, facets))) != len(holders):
             raise InvalidCertificateError(f"{sorted(c.sigma)} is not a shedding face")
         deletion = tuple([f for f in facets if f & sigma != sigma])
         return (deletion, ambient), (tuple([f ^ sigma for f in holders]), ambient & ~sigma)

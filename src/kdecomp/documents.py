@@ -44,16 +44,15 @@ def exponents_from_string(text: str, ctx: VariableContext) -> tuple[int, ...]:
         factor = factor.strip()
         if not factor:
             raise DocumentError(f"empty factor in monomial {text!r}")
-        name, _, power = factor.partition("^")
-        if power:
-            try:
+        name, caret, power = factor.partition("^")
+        e = 1
+        if caret:
+            try:  # decimal digits only; int() also refuses too many of them
+                if not (power.strip().isascii() and power.strip().isdigit()):
+                    raise ValueError
                 e = int(power)
             except ValueError:
                 raise DocumentError(f"bad exponent {power!r} in {text!r}") from None
-            if e < 0:
-                raise DocumentError(f"negative exponent in {text!r}")
-        else:
-            e = 1
         try:
             exps[ctx.index(name.strip())] += e
         except KeyError:

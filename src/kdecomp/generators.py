@@ -30,12 +30,6 @@ def random_monomial_ideal(
     )
 
 
-def random_squarefree_ideal(
-    rng: Random, ctx: VariableContext, max_gens: int
-) -> MonomialIdeal:
-    return random_monomial_ideal(rng, ctx, max_gens, 1)
-
-
 def random_complex(
     rng: Random, ctx: VariableContext, n_vertices: int, max_facets: int = 6
 ) -> SimplicialComplex:

@@ -56,9 +56,6 @@ class VariableContext:
         except ValueError:
             raise KeyError(f"unknown variable {name!r}") from None
 
-    def one(self) -> "Monomial":
-        return Monomial(self, (0,) * self.n)
-
     def monomial(self, exponents: Iterable[int]) -> "Monomial":
         return Monomial(self, tuple(exponents))
 
@@ -97,10 +94,6 @@ class Monomial:
     @property
     def support(self) -> frozenset[int]:
         return frozenset(i for i, e in enumerate(self.exponents) if e)
-
-    def divides(self, other: "Monomial") -> bool:
-        self._check(other)
-        return all(a <= b for a, b in zip(self.exponents, other.exponents))
 
     def colon(self, other: "Monomial") -> "Monomial":
         """self : other, i.e. self / gcd(self, other), componentwise max(a-b, 0)."""

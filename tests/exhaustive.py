@@ -51,8 +51,8 @@ def all_complexes(ctx: VariableContext, max_vertices: int) -> Iterator[Simplicia
     """Every complex with at most `max_vertices` vertices (vertex labels
     drawn from the first max_vertices context variables), the two
     degenerate complexes included."""
-    yield SimplicialComplex.void(ctx)
-    yield SimplicialComplex.irrelevant(ctx)
+    yield SimplicialComplex.from_facets(ctx, [])
+    yield SimplicialComplex.from_facets(ctx, [()])
     for facets in antichains(_subsets(max_vertices, 1)):
         if facets:
             yield SimplicialComplex.from_facets(ctx, facets)

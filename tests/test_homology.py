@@ -28,7 +28,7 @@ from kdecomp import (
 )
 from kdecomp import homology
 from kdecomp.cli import main
-from kdecomp.generators import random_complex, random_monomial_ideal, random_squarefree_ideal
+from kdecomp.generators import random_complex, random_monomial_ideal
 from kdecomp.complexes import _face_levels
 from kdecomp.homology import _boundary_rank, _homology_dims
 from kdecomp.monomials import MonomialIdeal, bits
@@ -58,8 +58,8 @@ def test_two_points(ctx3):
 
 
 def test_irrelevant_and_void(ctx3):
-    assert dims_by_degree(SimplicialComplex.irrelevant(ctx3)) == {-1: 1}
-    assert reduced_homology_dims(SimplicialComplex.void(ctx3)) == []
+    assert dims_by_degree(SimplicialComplex.from_facets(ctx3, [()])) == {-1: 1}
+    assert reduced_homology_dims(SimplicialComplex.from_facets(ctx3, [])) == []
 
 
 def test_sphere_boundary():
@@ -164,7 +164,7 @@ def test_boundary_rank_of_rp2_takes_a_non_unit_pivot():
 
 def test_koszul_equals_hochster_on_squarefree(ctx4):
     rng = Random(13)
-    batch = [random_squarefree_ideal(rng, ctx4, 5) for _ in range(40)]
+    batch = [random_monomial_ideal(rng, ctx4, 5, 1) for _ in range(40)]
     for i in batch + [rp2_nonface_ideal()]:
         for field in (None, 2):
             table = betti_hochster(i, field)
@@ -215,7 +215,7 @@ def hochster_by_subsets(squarefree, field=None):
 def test_hochster_equals_subset_reference():
     ctx = VariableContext.of(*"abcde")
     rng = Random(41)
-    batch = [random_squarefree_ideal(rng, ctx, 6) for _ in range(30)]
+    batch = [random_monomial_ideal(rng, ctx, 6, 1) for _ in range(30)]
     for i in batch + [rp2_nonface_ideal()]:
         for field in (None, 2):
             assert betti_hochster(i, field) == hochster_by_subsets(i, field)

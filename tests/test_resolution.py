@@ -33,7 +33,6 @@ from kdecomp.homology import oracle_complex_reg_pd, oracle_quotient_reg_pd
 from kdecomp.generators import (
     random_complex,
     random_monomial_ideal,
-    random_squarefree_ideal,
 )
 
 from conftest import ideal, mono
@@ -284,7 +283,7 @@ def test_terao_goldens(ctx3):
 def test_terao_random(ctx4):
     rng = Random(97)
     for _ in range(60):
-        assert terao_check(random_squarefree_ideal(rng, ctx4, 6))
+        assert terao_check(random_monomial_ideal(rng, ctx4, 6, 1))
 
 
 def test_bight_goldens(ctx3):

@@ -4,7 +4,7 @@ For u != 1 the predicate [u, M] = 1 says that no x_i^{u_i} with u_i > 0
 divides M; it splits G(I) into I^u (the predicate fails) and I_u (it
 holds).  u sheds I when I_u != 0 and, for every m in G(I_u) and every
 i in supp(u), some g in G(I^u) has g : m = x_i.  The reference below
-spells this out with Monomial.divides and Monomial.colon, so it shares
+spells this out with exponent comparisons and Monomial.colon, so it shares
 no code with the generator-mask routine behind `split`,
 `is_shedding_monomial` and the search.
 
@@ -64,12 +64,7 @@ from kdecomp.decomposition import (
 
 
 def matches_by_definition(u, m) -> bool:
-    ctx = u.ctx
-    return not any(
-        ctx.monomial(a if j == i else 0 for j in range(ctx.n)).divides(m)
-        for i, a in enumerate(u.exponents)
-        if a
-    )
+    return not any(0 < a <= b for a, b in zip(u.exponents, m.exponents))
 
 
 def sheds_by_definition(ideal, u) -> bool:

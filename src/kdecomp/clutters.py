@@ -6,13 +6,21 @@ and ``edges`` are frozenset views for callers only.  Direct construction
 checks nothing; :meth:`Clutter.from_edges` is the checked constructor:
 its vertices lie in the context and its edges have at least two
 vertices.  Minors are antichains by construction and are not checked
-again.  Deletion, contraction and the simplicial-vertex test each have
-one implementation on masks, which the chordality search calls directly;
-the lemma's minors H \\ v (v in sigma = e - {x}) and H / sigma are read
-off the edge masks once, through the same two, for both `lemma_h_ideals`
-and `chordal_reg_bound`.  Contraction may leave singleton edges (their
-edge ideals then pick up degree-one generators), and deleting a vertex
-keeps the remaining vertices even when they become isolated.
+again.
+
+A clutter and a vertex v are handled from one split of the edge masks
+into the edges through v and the rest.  The rest is the deletion H \\ v;
+the simplicial test reads the edges through v and looks for completing
+edges in the rest; the contraction H / v is the cut edges e - {v} of the
+edges through v plus the rest that holds no cut edge.  The split, the
+test, deletion and contraction each have one implementation on masks.
+The chordality search splits each minor once per vertex, and
+`deletion`, `contraction`, `is_simplicial_vertex` and the lemma's minors
+H \\ v (v in sigma = e - {x}) and H / sigma, read off once for both
+`lemma_h_ideals` and `chordal_reg_bound`, go through the same helpers.
+Contraction may leave singleton edges (their edge ideals then pick up
+degree-one generators), and deleting a vertex keeps the remaining
+vertices even when they become isolated.
 """
 
 from __future__ import annotations
@@ -51,12 +59,14 @@ class Clutter:
         """User constructor: edges need >= 2 vertices; comparable edges are
         reduced to the minimal ones."""
         edge_sets = [frozenset(e) for e in edges]
-        for e in edge_sets:
-            if len(e) < 2:
-                raise ValueError(f"user edges need at least two vertices: {sorted(e)}")
         declared = frozenset(vertices or ())
         if any(not 0 <= v < ctx.n for v in declared.union(*edge_sets)):
             raise ValueError("vertex index outside the context")
+        for e in edge_sets:
+            if len(e) < 2:
+                raise ValueError(
+                    f"user edges need at least two vertices: {_braced(ctx, mask_of(e))}"
+                )
         minimal = antichain(map(mask_of, edge_sets), minimal=True)
         return cls(ctx, reduce(or_, minimal, mask_of(declared)), minimal)
 
@@ -73,34 +83,39 @@ class Clutter:
         return not self.edge_masks
 
     def __str__(self) -> str:
-        def braced(mask: int) -> str:
-            return "{" + ",".join(self.ctx.set_names(bits(mask))) + "}"
-
-        edges = ", ".join(map(braced, sorted(self.edge_masks, key=bits)))
-        return f"clutter({braced(self.vertex_mask)}; [{edges}])"
+        edges = ", ".join(_braced(self.ctx, e) for e in sorted(self.edge_masks, key=bits))
+        return f"clutter({_braced(self.ctx, self.vertex_mask)}; [{edges}])"
 
 
-def _inside(edges: Iterable[int], mask: int) -> bool:
-    """Some edge mask lies inside `mask`."""
-    return any(e & mask == e for e in edges)
+def _braced(ctx: VariableContext, mask: int) -> str:
+    """The named vertices of a mask, as in {x,y}."""
+    return "{" + ",".join(ctx.set_names(bits(mask))) + "}"
 
 
-def _delete(vertex_mask: int, edges: tuple[int, ...], bit: int) -> tuple[int, tuple]:
-    return vertex_mask ^ bit, tuple([e for e in edges if not e & bit])
+def _split(edges: tuple[int, ...], bit: int) -> tuple[list[int], tuple[int, ...]]:
+    """The edges through the vertex and the rest, both ascending.  The rest
+    is the deletion's edge tuple, and the simplicial test and the
+    contraction read the two halves."""
+    return [e for e in edges if e & bit], tuple([e for e in edges if not e & bit])
 
 
-def _contract(vertex_mask: int, edges: tuple[int, ...], bit: int) -> tuple[int, tuple]:
+def _contract(through: list[int], rest: tuple[int, ...], bit: int) -> tuple[int, ...]:
     """The cut edges e - {v} of the edges through v are pairwise
-    incomparable, and none contains an edge avoiding v, so only the edges
-    avoiding v that contain a cut edge are dropped."""
-    cut = [e ^ bit for e in edges if e & bit]
-    uncut = [e for e in edges if not e & bit and not _inside(cut, e)]
-    return vertex_mask ^ bit, tuple(sorted(cut + uncut))
+    incomparable, and none contains an edge of the rest, so only the edges
+    of the rest that contain a cut edge are dropped."""
+    cut = [e ^ bit for e in through]
+    covering = {e for c in cut for e in rest if c & e == c}
+    return tuple(sorted(cut + [e for e in rest if e not in covering]))
 
 
-def _is_simplicial(edges: tuple[int, ...], bit: int) -> bool:
-    incident = [e for e in edges if e & bit]
-    return all(_inside(edges, (e1 | e2) ^ bit) for e1, e2 in combinations(incident, 2))
+def _is_simplicial(through: list[int], rest: tuple[int, ...], bit: int) -> bool:
+    """Every pair e1, e2 of edges through v has an edge inside
+    (e1 | e2) - {v}.  Such an edge avoids v, so only the rest can hold it."""
+    for e1, e2 in combinations(through, 2):
+        completion = (e1 | e2) ^ bit
+        if not any(f & completion == f for f in rest):
+            return False
+    return True
 
 
 def _vertex_bit(clutter: Clutter, v: int) -> int:
@@ -112,22 +127,24 @@ def _vertex_bit(clutter: Clutter, v: int) -> int:
 def deletion(clutter: Clutter, v: int) -> Clutter:
     """Remove the vertex and every edge through it."""
     bit = _vertex_bit(clutter, v)
-    return Clutter(clutter.ctx, *_delete(clutter.vertex_mask, clutter.edge_masks, bit))
+    return Clutter(clutter.ctx, clutter.vertex_mask ^ bit, _split(clutter.edge_masks, bit)[1])
 
 
 def contraction(clutter: Clutter, v: int) -> Clutter:
     """Remove the vertex from every edge and keep the minimal results."""
     bit = _vertex_bit(clutter, v)
-    if bit in clutter.edge_masks:
+    through, rest = _split(clutter.edge_masks, bit)
+    if through[:1] == [bit]:
         raise ImproperContractionError(
             f"contracting {clutter.ctx.names[v]!r} would create an empty edge"
         )
-    return Clutter(clutter.ctx, *_contract(clutter.vertex_mask, clutter.edge_masks, bit))
+    return Clutter(clutter.ctx, clutter.vertex_mask ^ bit, _contract(through, rest, bit))
 
 
 def is_simplicial_vertex(clutter: Clutter, v: int) -> bool:
     """Every pair of edges through v is completed by an edge avoiding v."""
-    return _is_simplicial(clutter.edge_masks, _vertex_bit(clutter, v))
+    bit = _vertex_bit(clutter, v)
+    return _is_simplicial(*_split(clutter.edge_masks, bit), bit)
 
 
 def _lemma_minors(clutter: Clutter, x: int, e: frozenset[int]) -> tuple[int, list, tuple]:
@@ -140,11 +157,11 @@ def _lemma_minors(clutter: Clutter, x: int, e: frozenset[int]) -> tuple[int, lis
     sigma = e_mask ^ (1 << x)
     if not sigma:
         raise ValueError("the edge must have another vertex besides x")
-    minor = clutter.vertex_mask, clutter.edge_masks
-    deletions = [_delete(*minor, 1 << v)[1] for v in bits(sigma)]
+    edges = clutter.edge_masks
+    deletions = [_split(edges, 1 << v)[1] for v in bits(sigma)]
     for v in bits(sigma):
-        minor = _contract(*minor, 1 << v)
-    return sigma, deletions, minor[1]
+        edges = _contract(*_split(edges, 1 << v), 1 << v)
+    return sigma, deletions, edges
 
 
 @dataclass(frozen=True)
@@ -177,6 +194,14 @@ def is_chordal(clutter: Clutter, memo: dict | None = None) -> tuple[bool, MinorT
     `memo` dictionary makes repeated queries over overlapping minors cheap.
     Raises BudgetExceededError on more than CHORDALITY_VERTEX_BUDGET
     vertices, a bound read at each call.
+
+    Each minor splits its edges once per vertex, and that split gives the
+    simplicial test and both children.  A child, and the input itself, is
+    looked up before the search descends into it and skipped when it is a
+    True entry.  That is exact: a True entry is written only after all of
+    its minors have been entered, so descending again would add nothing to
+    the memo and find no witness.  Contracting a vertex in no edge gives
+    the deletion again, which is not entered twice.
     """
     n = clutter.vertex_mask.bit_count()
     if n > CHORDALITY_VERTEX_BUDGET:
@@ -185,33 +210,37 @@ def is_chordal(clutter: Clutter, memo: dict | None = None) -> tuple[bool, MinorT
         )
     if memo is None:
         memo = {}
-    witness = _chordal_rec(clutter.vertex_mask, clutter.edge_masks, memo)
+    key = (clutter.vertex_mask, clutter.edge_masks)
+    witness = None if memo.get(key) is True else _chordal_rec(key, memo)
     return witness is None, witness
 
 
-def _chordal_rec(vertex_mask: int, edges: tuple[int, ...], memo: dict) -> MinorTrace | None:
+def _chordal_rec(key: tuple[int, tuple[int, ...]], memo: dict) -> MinorTrace | None:
     """None if every minor has a simplicial vertex, else the trace to the first
-    minor without one (vertices ascending, delete before contract)."""
-    key = (vertex_mask, edges)
-    if memo.get(key) is True:
-        return None
+    minor without one (vertices ascending, delete before contract).  The
+    caller has looked the key up: it is not a True entry of the memo."""
+    vertex_mask, edges = key
     # Edgeless minors are fine and all their minors are edgeless too.
     if not edges:
         memo[key] = True
         return None
-    verts = bits(vertex_mask)
-    if not any(_is_simplicial(edges, 1 << v) for v in verts):
+    splits = [(v, 1 << v, *_split(edges, 1 << v)) for v in bits(vertex_mask)]
+    if not any(_is_simplicial(through, rest, bit) for _, bit, through, rest in splits):
         memo[key] = False
         return ()
-    for v in verts:
-        bit = 1 << v
-        for kind, op in (("delete", _delete), ("contract", _contract)):
-            if op is _contract and bit in edges:
-                continue  # it would leave an empty edge
-            witness = _chordal_rec(*op(vertex_mask, edges, bit), memo)
-            if witness is not None:
-                memo[key] = False
-                return (MinorStep(kind, v), *witness)
+    for v, bit, through, rest in splits:
+        child = (vertex_mask ^ bit, rest)
+        witness = None if memo.get(child) is True else _chordal_rec(child, memo)
+        kind = "delete"
+        # Contracting v gives the deletion again when v lies in no edge, and
+        # an empty edge when {v} is one.
+        if witness is None and through and through[0] != bit:
+            child = (vertex_mask ^ bit, _contract(through, rest, bit))
+            witness = None if memo.get(child) is True else _chordal_rec(child, memo)
+            kind = "contract"
+        if witness is not None:
+            memo[key] = False
+            return (MinorStep(kind, v), *witness)
     memo[key] = True
     return None
 
@@ -289,8 +318,9 @@ def chordal_reg_bound(
     contained in the edge e.  A failed identity or bound raises
     PropertyViolationError carrying the report.  No ideal is built: the
     oracle gets the edge masks of the clutter and its minors, which are
-    antichains already, and the masks of (prod sigma) + I(H), the one
-    set that needs minimalizing.
+    antichains already, and the generators of (prod sigma) + I(H), which
+    are sigma and the edges that do not contain it.  No edge lies inside
+    sigma, a proper subset of the edge e, so these are an antichain too.
     """
     check_field(field)
     e = frozenset(e)
@@ -305,7 +335,7 @@ def chordal_reg_bound(
 
     edges = clutter.edge_masks
     reg = quotient_reg(edges)
-    identity_deletion = quotient_reg(antichain([sigma, *edges], minimal=True))
+    identity_deletion = quotient_reg((sigma, *(f for f in edges if f & sigma != sigma)))
     link_term = quotient_reg(contracted) + d
     bound_deletion = sum(map(quotient_reg, deletions)) + d - 1
     report = ChordalBoundReport(

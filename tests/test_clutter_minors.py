@@ -168,3 +168,27 @@ def test_is_chordal_matches_the_reference_recursion(pair):
             assert not any(is_simplicial_by_definition(bad, v) for v in bad.vertices)
         assert len(memo) == len(reference_memo)
         assert memo == {mask_key(k): value for k, value in reference_memo.items()}
+
+
+@settings(max_examples=12, derandomize=True, database=None, deadline=None)
+@given(st.lists(clutters_with_a_minor(), min_size=15, max_size=15))
+def test_a_shared_memo_grows_as_the_reference_memo_does(pairs):
+    # thirty queries on one memo: each clutter, then a minor of it, which
+    # may carry one-vertex edges
+    memo, reference_memo = {}, {}
+    for h in (h for pair in pairs for h in pair):
+        assert is_chordal(h, memo) == reference_is_chordal(h, reference_memo)
+        reference_items = [(mask_key(k), value) for k, value in reference_memo.items()]
+        assert list(memo.items()) == reference_items
+    # a True entry is written after all of its minors have been entered, so
+    # each single-vertex minor of one with edges is a True entry too (the
+    # minors of an edgeless clutter are never entered)
+    for (vertex_mask, edge_masks), chordal in memo.items():
+        if not chordal or not edge_masks:
+            continue
+        clutter = Clutter(CTX, vertex_mask, edge_masks)
+        for v in sorted(clutter.vertices):
+            for kind in ("delete", "contract"):
+                if kind == "contract" and frozenset([v]) in clutter.edges:
+                    continue
+                assert memo[mask_key(reference_minor(clutter, kind, v))] is True

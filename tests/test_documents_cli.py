@@ -328,6 +328,18 @@ def test_cli_clutter_minor(tmp_path, capsys):
     assert json.loads(out)["edges"] == [["w"]]
 
 
+def test_cli_names_the_one_vertex_edge_of_a_minor_it_cannot_read_back(capsys, monkeypatch):
+    # the minor prints edges {x} and {z}; reading that document back fails
+    # on its first one-vertex edge, named as the text output names it
+    star = '{"kind":"clutter","vars":["x","y","z","w"],"edges":[["x","y"],["y","z"],["z","w"]]}'
+    code, minor, _ = run_cli(
+        capsys, ["clutter", "minor", "--ops", "contract:y,delete:w", "--json"], star, monkeypatch
+    )
+    assert code == 0 and json.loads(minor)["edges"] == [["x"], ["z"]]
+    code, out, err = run_cli(capsys, ["clutter", "chordal"], minor, monkeypatch)
+    assert (code, out, err) == (2, "", "error: user edges need at least two vertices: {x}\n")
+
+
 def test_cli_invariants(tmp_path, capsys):
     path = tmp_path / "tri.json"
     path.write_text(TRI_IDEAL)

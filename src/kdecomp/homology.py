@@ -51,13 +51,23 @@ tests it on masks, where it knows why one can occur:
   supports, the minimal nonfaces inside it, so every vertex lies in a
   minimal nonface and none can join every face.
 
+Nor does Hochster rank a degree a where each generator inside a has a
+vertex that no other generator inside a has.  Taylor's resolution of
+those generators G_a is then minimal (no generator divides the lcm of
+the others), and G_a is the only subset of them whose lcm is a, so
+beta_{|G_a| - 1, a} = 1 and every other beta_{i, a} is 0 (Taylor 1966;
+Miller-Sturmfels, Ch. 4).  Two masks over G_a, the vertices in some
+generator and those in two or more, find such a degree.
+
 Budgets: a Hochster table takes at most VERTEX_BUDGET variables and a
 Koszul table an lcm of degree at most LCM_DEGREE_BUDGET;
 `reduced_homology_dims` takes at most VERTEX_BUDGET vertices.  One work
 bound, ORACLE_WORK_BUDGET, limits both routes further: the joins that
 build the lcm lattice (each generator joined with every degree found
 before it), and for Hochster the lattice degrees times the faces of the
-nonface complex, as each degree scans every face.  Hochster joins its
+nonface complex, as each degree may scan every face; a degree that
+Taylor's resolution decides scans none, but the budget still counts its
+faces, so it bounds the most a table can scan.  Hochster joins its
 generators in their renumbered order (see below); the join count depends
 on that order, the degrees and faces do not, so the renumbering can move
 a verdict only for an input right at the budget.  `_nonface_levels`
@@ -324,7 +334,10 @@ def _oracle_table(gens: tuple, field, route: str) -> BettiTable:
 
     Both scan the lcm lattice of the generators, where all nonzero Betti
     numbers lie (Gasharov-Peeva-Welker); for "hochster" it is the set of
-    unions of generator supports.
+    unions of generator supports.  A "hochster" degree a where each
+    generator inside a has a private vertex is read off Taylor's
+    resolution, 1 at index (the generators inside a) - 1, and scans no
+    face.
     """
     # before the lookup: 2.0 == 2 would find the GF(2) tables
     check_field(field)
@@ -339,7 +352,7 @@ def _oracle_table(gens: tuple, field, route: str) -> BettiTable:
     if hochster:
         _check_vertex_budget(reduce(or_, gens).bit_count())
         degrees = _lcm_closure(gens, or_)
-        # each degree scans every face
+        # each degree may scan every face
         levels = _nonface_levels(gens, ORACLE_WORK_BUDGET // len(degrees))
     else:
         lcm = tuple(map(max, zip(*gens)))
@@ -355,6 +368,16 @@ def _oracle_table(gens: tuple, field, route: str) -> BettiTable:
         if hochster:
             # a union of walls leaves no vertex free, so no cone test
             j = a.bit_count()
+            inside = [g for g in gens if g | a == a]
+            once = twice = 0
+            for g in inside:
+                twice |= once & g
+                once |= g
+            # Taylor: each generator inside has a private vertex
+            if all(g & ~twice for g in inside):
+                i = len(inside) - 1
+                entries[(i, j)] = entries.get((i, j), 0) + 1
+                continue
             sub = []
             for level in levels:
                 below = [s for s in level if s | a == a]

@@ -4,9 +4,10 @@ import json
 import sys
 import threading
 import time
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import combinations, product
 from math import comb
+from operator import or_
 from random import Random
 
 import pytest
@@ -31,7 +32,7 @@ from kdecomp.cli import main
 from kdecomp.generators import random_complex, random_monomial_ideal
 from kdecomp.complexes import _face_levels
 from kdecomp.homology import _boundary_rank, _homology_dims
-from kdecomp.monomials import MonomialIdeal, bits
+from kdecomp.monomials import MonomialIdeal, antichain, bits
 
 from conftest import ideal
 from exhaustive import induced_subcomplex
@@ -436,6 +437,60 @@ def test_work_budget_bounds_the_lattice(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(homology, "ORACLE_WORK_BUDGET", 10)
     with pytest.raises(BudgetExceededError, match="work budget is 10 lattice joins"):
         betti_koszul(squares)
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(st.integers(1, 8).flatmap(
+    lambda n: st.lists(st.integers(1, 2**n - 1), min_size=1, max_size=10)
+))
+def test_taylor_degrees_have_one_betti_number(masks):
+    """At a lattice degree a where each generator inside a has a vertex no
+    other one inside a has, Taylor's resolution of those generators G_a is
+    minimal, so beta_{|G_a| - 1, a} = 1 and every other beta_{i, a} is 0.
+    Checked by ranking the induced complex, as the oracle does elsewhere."""
+    gens = homology._relabelled(antichain(masks, minimal=True))
+    levels = homology._nonface_levels(gens, homology.ORACLE_WORK_BUDGET)
+    for a in homology._lcm_closure(gens, or_):
+        inside = [g for g in gens if g | a == a]
+        if any(not g & ~reduce(or_, [h for h in inside if h != g], 0) for g in inside):
+            continue
+        sub = [below for level in levels if (below := [s for s in level if s | a == a])]
+        j = a.bit_count()
+        for field in (None, 2, 3):
+            dims = _homology_dims(sub, field)
+            # degree c - 1 homology feeds index j - c - 1
+            assert {(j - c - 1, h) for c, h in enumerate(dims) if h} == {(len(inside) - 1, 1)}
+
+
+def test_taylor_degrees_are_not_ranked(monkeypatch):
+    """The rule fires exactly at the degrees whose generators each have a
+    private vertex: every degree of disjoint pairs, and not the top degree
+    of the 5-cycle, whose edges share every vertex."""
+
+    def rank(*_):
+        raise AssertionError("a Taylor degree was ranked")
+
+    monkeypatch.setattr(homology, "_oracle_cache", {})
+    monkeypatch.setattr(homology, "_homology_dims", rank)
+    pairs = MonomialIdeal.from_masks(
+        VariableContext(tuple(f"x{v}" for v in range(16))), [3 << 2 * i for i in range(8)]
+    )
+    assert dict(betti_hochster(pairs).items()) == {
+        (i, 2 * i + 2): comb(8, i + 1) for i in range(8)
+    }
+
+    ranked = []
+
+    def record(levels, field):
+        ranked.append(reduce(or_, levels[1]))
+        return _homology_dims(levels, field)
+
+    monkeypatch.setattr(homology, "_homology_dims", record)
+    cycle = MonomialIdeal.from_masks(
+        VariableContext(tuple(f"x{v}" for v in range(5))), [1 << i | 1 << (i + 1) % 5 for i in range(5)]
+    )
+    assert dict(betti_hochster(cycle).items()) == {(0, 2): 5, (1, 3): 5, (2, 5): 1}
+    assert 0b11111 in ranked
 
 
 def test_koszul_face_budget(monkeypatch):

@@ -487,7 +487,8 @@ def test_taylor_degrees_are_not_ranked(monkeypatch):
 
     monkeypatch.setattr(homology, "_homology_dims", record)
     cycle = MonomialIdeal.from_masks(
-        VariableContext(tuple(f"x{v}" for v in range(5))), [1 << i | 1 << (i + 1) % 5 for i in range(5)]
+        VariableContext(tuple(f"x{v}" for v in range(5))),
+        [1 << i | 1 << (i + 1) % 5 for i in range(5)],
     )
     assert dict(betti_hochster(cycle).items()) == {(0, 2): 5, (1, 3): 5, (2, 5): 1}
     assert 0b11111 in ranked

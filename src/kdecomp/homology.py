@@ -66,16 +66,19 @@ bound, ORACLE_WORK_BUDGET, limits both routes further: the joins that
 build the lcm lattice (each generator joined with every degree found
 before it), and for Hochster the lattice degrees times the faces of the
 nonface complex, as each degree may scan every face; a degree that
-Taylor's resolution decides scans none, but the budget still counts its
-faces, so it bounds the most a table can scan.  Hochster joins its
-generators in their renumbered order (see below); the join count depends
-on that order, the degrees and faces do not, so the renumbering can move
-a verdict only for an input right at the budget.  `_nonface_levels`
+Taylor's resolution decides or the degree memo (below) holds scans none,
+but the budget still counts its faces, so it bounds the most a table can
+scan.  Hochster joins its generators in their renumbered order (see
+below); the join count depends on that order, the degrees and faces do
+not, so the renumbering can move a verdict only for an input right at
+the budget.  `_nonface_levels`
 counts the faces as it finds them, so a refusal costs at most the
-budget's share of faces and no rank.  The Koszul route builds a complex
-at each lattice degree instead, and KOSZUL_FACE_BUDGET bounds the faces
-of those complexes summed over the degrees: `_face_levels` stops once a
-degree's faces pass what is left, and that degree is not ranked.
+budget's share of faces and no rank.  The Koszul route counts the faces
+of the complex at each lattice degree instead, and KOSZUL_FACE_BUDGET
+bounds them summed over the degrees: a degree the memo holds adds the
+face count stored with it, and a degree built anew stops `_face_levels`
+once its faces pass what is left, and is not ranked.  So no verdict
+depends on what the memo holds.
 
 One cache holds the oracles' tables, keyed by route, generators and
 field; once it holds ORACLE_CACHE_SIZE tables, the oldest is dropped
@@ -91,14 +94,34 @@ isomorphic minors of a clutter, mostly share one table.
 `hochster_from_masks` takes the masks in any order, so a caller that
 holds them (a clutter's edges, say) builds no ideal; `betti_hochster`
 converts a squarefree ideal's generators once and calls it.
+
+A second cache, the degree memo, holds the reduced homology of each
+complex a table ranks at a lattice degree, so that a later degree, of
+the same table or another, whose complex is the same up to a renaming of
+its vertices is looked up and not ranked.  Renaming keeps the homology,
+so the memo is exact.  An entry is keyed by the masks that fix the
+complex, renumbered by `_relabelled`:
+
+- Hochster: the generators inside a.  The complex at a has vertex set a,
+  their union, and they are its minimal nonfaces.
+- Koszul: the walls.  The facets are supp(a) - w, and once the cone test
+  has passed the walls cover supp(a).  The entry also holds the face
+  count, for KOSZUL_FACE_BUDGET.
+
+The key also holds the route and the field, so the two routes never
+share an entry and stay independent checks of each other.  Each key is
+one int (`_degree_key`), and equal homology vectors are stored once.
+The memo is kept apart from the table cache but bounded like it: at most
+ORACLE_CACHE_SIZE entries, the oldest dropped first, under the same lock.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
 from functools import lru_cache, reduce
+from itertools import compress
 from math import isqrt
-from operator import and_, or_
+from operator import and_, eq, le, lshift, or_
 from threading import Lock
 
 from .betti import BettiTable
@@ -261,6 +284,8 @@ def reduced_homology_dims(delta: SimplicialComplex, field=None) -> list[int]:
 
 ORACLE_CACHE_SIZE = 4096
 _oracle_cache: dict = {}
+# the homology of each ranked lattice-degree complex, by `_degree_key`
+_degree_memo: dict = {}
 _oracle_cache_lock = Lock()
 
 
@@ -316,6 +341,31 @@ def _nonface_levels(supports: tuple[int, ...], limit: int) -> list[list[int]]:
         levels.append(nxt)
 
 
+def _degree_key(masks: list[int], width: int, tag: int) -> int:
+    """The memo key of a lattice degree's complex, given by nonzero
+    `masks` whose union has `width` vertices: the masks renumbered by
+    `_relabelled` onto vertices 0, ..., width - 1, `width` bits each, then
+    5 bits of width (at most 24: VERTEX_BUDGET vertices for "hochster", a
+    support inside an lcm of degree LCM_DEGREE_BUDGET for "koszul"), then
+    32 bits of `tag`, the route and the field."""
+    packed = sum(map(lshift, _relabelled(masks), range(0, width * len(masks), width)))
+    return (packed << 5 | width) << 32 | tag
+
+
+def _remember(key: int, value: tuple) -> tuple:
+    """Store `value` under `key` in the degree memo and return it.  Equal
+    values are stored once: the memo also maps each value it holds to
+    itself (a tuple, never equal to an int key).  Once the memo holds
+    ORACLE_CACHE_SIZE entries, the oldest is dropped first."""
+    with _oracle_cache_lock:
+        value = _degree_memo.get(value, value)
+        for k in (value, key):
+            if k not in _degree_memo and len(_degree_memo) >= ORACLE_CACHE_SIZE:
+                del _degree_memo[next(iter(_degree_memo))]
+            _degree_memo[k] = value
+    return value
+
+
 def _oracle_table(gens: tuple, field, route: str) -> BettiTable:
     """The Betti table of the ideal generated by `gens` by one oracle
     route, cached per route, generators and field.
@@ -338,6 +388,14 @@ def _oracle_table(gens: tuple, field, route: str) -> BettiTable:
     generator inside a has a private vertex is read off Taylor's
     resolution, 1 at index (the generators inside a) - 1, and scans no
     face.
+
+    Every other degree's reduced homology is looked up in the degree
+    memo, and ranked and stored only when it is missing there.  Its key
+    is the generators inside a for "hochster" and the walls for
+    "koszul", renumbered; either fixes the complex up to a renaming of
+    its vertices.  A "koszul" entry holds the complex's face count before
+    its homology, and a hit adds that count to the faces counted against
+    KOSZUL_FACE_BUDGET as a miss does.
     """
     # before the lookup: 2.0 == 2 would find the GF(2) tables
     check_field(field)
@@ -349,6 +407,9 @@ def _oracle_table(gens: tuple, field, route: str) -> BettiTable:
         raise ZeroIdealError("Betti numbers need a nonzero ideal")
 
     hochster = route == "hochster"
+    # the low 32 bits of each degree key: the field (FIELD_BOUND is 2**31)
+    # and the route
+    tag = (field or 0) << 1 | (not hochster)
     if hochster:
         _check_vertex_budget(reduce(or_, gens).bit_count())
         degrees = _lcm_closure(gens, or_)
@@ -361,6 +422,8 @@ def _oracle_table(gens: tuple, field, route: str) -> BettiTable:
                 f"oracle lcm-degree budget is {LCM_DEGREE_BUDGET}, got {sum(lcm)}"
             )
         degrees = _lcm_closure(gens, lambda a, b: tuple(map(max, a, b)))
+        pow2 = tuple(1 << v for v in range(len(lcm)))
+        supports = [sum(compress(pow2, g)) for g in gens]
         faces = 0
 
     entries: dict[tuple[int, int], int] = {}
@@ -378,32 +441,45 @@ def _oracle_table(gens: tuple, field, route: str) -> BettiTable:
                 i = len(inside) - 1
                 entries[(i, j)] = entries.get((i, j), 0) + 1
                 continue
-            sub = []
-            for level in levels:
-                below = [s for s in level if s | a == a]
-                if not below:
-                    break
-                sub.append(below)
+            memo_key = _degree_key(inside, j, tag)
+            dims = _degree_memo.get(memo_key)
+            if dims is None:
+                sub = []
+                for level in levels:
+                    below = [s for s in level if s | a == a]
+                    if not below:
+                        break
+                    sub.append(below)
+                dims = _remember(memo_key, tuple(_homology_dims(sub, field)))
         else:
-            supp, j = sum(1 << v for v, e in enumerate(a) if e), sum(a)
+            supp, j = sum(compress(pow2, a)), sum(a)
             # tight(g, a) = {i : g_i = a_i > 0} for each generator g <= a
             walls = [
-                sum(1 << v for v, (x, y) in enumerate(zip(g, a)) if x == y > 0)
-                for g in gens
-                if all(x <= y for x, y in zip(g, a))
+                sum(compress(pow2, map(eq, g, a))) & s
+                for g, s in zip(gens, supports)
+                if not s & ~supp and all(map(le, g, a))
             ]
             # No walls: the void complex.  An empty wall makes every subset
             # of supp(a) a face, and a vertex of supp(a) in no wall extends
             # every face; either way a cone, with no reduced homology.
             if not walls or 0 in walls or reduce(or_, walls) != supp:
                 continue
-            sub = _face_levels([supp & ~w for w in walls], KOSZUL_FACE_BUDGET - faces)
-            faces += sum(map(len, sub))
+            memo_key = _degree_key(walls, supp.bit_count(), tag)
+            known = _degree_memo.get(memo_key)
+            if known is None:
+                sub = _face_levels([supp & ~w for w in walls], KOSZUL_FACE_BUDGET - faces)
+                size = sum(map(len, sub))
+            else:
+                size = known[0]
+            faces += size
             if faces > KOSZUL_FACE_BUDGET:
                 raise BudgetExceededError(
                     f"oracle face budget is {KOSZUL_FACE_BUDGET} Koszul faces"
                 )
-        for c, h in enumerate(_homology_dims(sub, field)):
+            if known is None:
+                known = _remember(memo_key, (size, *_homology_dims(sub, field)))
+            dims = known[1:]
+        for c, h in enumerate(dims):
             i = j - c - 1 if hochster else c
             if h and i >= 0:
                 entries[(i, j)] = entries.get((i, j), 0) + h

@@ -5,7 +5,7 @@ import sys
 import threading
 import time
 from functools import lru_cache, reduce
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 from math import comb
 from operator import or_
 from random import Random
@@ -494,17 +494,116 @@ def test_taylor_degrees_are_not_ranked(monkeypatch):
     assert 0b11111 in ranked
 
 
+def renamed_ideal(ideal, perm):
+    """`ideal` with variable v renamed to perm[v]."""
+    return MonomialIdeal.from_exponents(
+        ideal.ctx, [tuple(g[perm.index(v)] for v in range(len(g))) for g in ideal.exps]
+    )
+
+
+# at x^2 y^2 z^2 the walls of (x^2 y, x^2 z, y^2 z^2) are {x}, {x}, {y, z}
+WALLS_REPEAT = MonomialIdeal.from_exponents(
+    VariableContext.of("x", "y", "z"), [(2, 1, 0), (2, 0, 1), (0, 2, 2)]
+)
+# at x^2 y^2 z the walls of (x^2 y, x^2 z, y^2) are {x}, {x, z}, {y}
+WALLS_NEST = MonomialIdeal.from_exponents(
+    VariableContext.of("x", "y", "z"), [(2, 1, 0), (2, 0, 1), (0, 2, 0)]
+)
+
+
+@st.composite
+def ideals_and_renamed_copies(draw):
+    """An ideal on 1 to 5 variables with exponents up to 1, 2 or 3 (so a
+    third of them squarefree), a field, and the ideal renamed."""
+    n = draw(st.integers(1, 5))
+    exponent = st.integers(0, draw(st.integers(1, 3)))
+    exps = draw(st.lists(st.tuples(*[exponent] * n).filter(any), min_size=1, max_size=6))
+    ideal = MonomialIdeal.from_exponents(VariableContext(tuple(f"x{v}" for v in range(n))), exps)
+    field = draw(st.sampled_from((None, 2, 3)))
+    return [(ideal, field), (renamed_ideal(ideal, draw(st.permutations(range(n)))), field)]
+
+
+@settings(max_examples=50, derandomize=True, database=None, deadline=None)
+@given(
+    st.lists(ideals_and_renamed_copies(), min_size=1, max_size=6).flatmap(
+        lambda pairs: st.permutations([request for pair in pairs for request in pair])
+    )
+)
+@example([(WALLS_REPEAT, None), (WALLS_NEST, 2), (renamed_ideal(WALLS_NEST, [2, 0, 1]), 2)])
+@example([(WALLS_NEST, 3), (renamed_ideal(WALLS_REPEAT, [1, 2, 0]), 3), (WALLS_REPEAT, None)])
+def test_a_shared_degree_memo_builds_the_tables_of_an_empty_one(requests):
+    """One degree memo shared over ideals and their renamed copies, in any
+    order, gives every Hochster and Koszul table that an emptied memo
+    gives, over Q, GF(2) and GF(3)."""
+    shared: dict = {}
+    with pytest.MonkeyPatch.context() as mp:
+        for ideal, field in requests:
+            routes = (betti_hochster, betti_koszul) if ideal.is_squarefree else (betti_koszul,)
+            for route in routes:
+                mp.setattr(homology, "_oracle_cache", {})
+                mp.setattr(homology, "_degree_memo", shared)
+                table = route(ideal, field)
+                mp.setattr(homology, "_oracle_cache", {})
+                mp.setattr(homology, "_degree_memo", {})
+                assert route(ideal, field) == table
+
+
+def test_renamed_copies_rank_no_degree(monkeypatch):
+    """With the tables dropped, every renamed copy of these ideals finds
+    each degree it would rank in the degree memo; the routes and the fields
+    keep entries apart, and an emptied memo ranks again."""
+    squarefree = MonomialIdeal.from_masks(
+        VariableContext(tuple(f"x{v}" for v in range(5))), [0b11, 0b110, 0b11001, 0b11010]
+    )
+    cases = [(squarefree, betti_hochster), (squarefree, betti_koszul), (WALLS_NEST, betti_koszul)]
+    monkeypatch.setattr(homology, "_oracle_cache", {})
+    monkeypatch.setattr(homology, "_degree_memo", {})
+    tables = [route(i) for i, route in cases]
+
+    def rank(*_):
+        raise AssertionError("a lattice degree was ranked")
+
+    monkeypatch.setattr(homology, "_homology_dims", rank)
+    for (i, route), table in zip(cases, tables):
+        for perm in permutations(range(i.ctx.n)):
+            homology._oracle_cache.clear()
+            assert route(renamed_ideal(i, list(perm))) == table
+    for i, route in cases:
+        with pytest.raises(AssertionError, match="^a lattice degree was ranked$"):
+            route(i, 2)
+    homology._oracle_cache.clear()
+    homology._degree_memo.clear()
+    for i, route in cases:
+        with pytest.raises(AssertionError, match="^a lattice degree was ranked$"):
+            route(i)
+    # Hochster entries serve no Koszul degree
+    monkeypatch.setattr(homology, "_homology_dims", _homology_dims)
+    betti_hochster(squarefree)
+    monkeypatch.setattr(homology, "_homology_dims", rank)
+    with pytest.raises(AssertionError, match="^a lattice degree was ranked$"):
+        betti_koszul(squarefree)
+
+
 def test_koszul_face_budget(monkeypatch):
     # the degree on k of the squares of four variables builds the boundary
     # of a (k-1)-simplex, 2^k - 1 faces: 3^4 - 2^4 = 65 faces in all
+    # (the degrees on k variables are renamed copies of one another, so all
+    # but the first of each k find their complex in the degree memo, and
+    # count its faces all the same)
     squares = ideal(VariableContext.of("x", "y", "z", "w"), "x^2", "y^2", "z^2", "w^2")
     monkeypatch.setattr(homology, "_oracle_cache", {})
+    monkeypatch.setattr(homology, "_degree_memo", {})
     monkeypatch.setattr(homology, "KOSZUL_FACE_BUDGET", 65)
     assert betti_koszul(squares).pd == 3
+    warm = homology._degree_memo
     homology._oracle_cache.clear()
+    assert betti_koszul(squares).pd == 3
     monkeypatch.setattr(homology, "KOSZUL_FACE_BUDGET", 64)
-    with pytest.raises(BudgetExceededError, match="^oracle face budget is 64 Koszul faces$"):
-        betti_koszul(squares)
+    for memo in (warm, {}):
+        homology._oracle_cache.clear()
+        monkeypatch.setattr(homology, "_degree_memo", memo)
+        with pytest.raises(BudgetExceededError, match="^oracle face budget is 64 Koszul faces$"):
+            betti_koszul(squares)
 
 
 def test_oracle_cache_is_bounded(ctx3, monkeypatch):
@@ -512,15 +611,18 @@ def test_oracle_cache_is_bounded(ctx3, monkeypatch):
 
     monkeypatch.setattr(homology, "ORACLE_CACHE_SIZE", 2)
     monkeypatch.setattr(homology, "_oracle_cache", {})
+    monkeypatch.setattr(homology, "_degree_memo", {})
     ideals = [ideal(ctx3, "x*y", "y*z"), ideal(ctx3, "x", "y*z"), ideal(ctx3, "x^2", "y")]
     tables = [betti_koszul(i) for i in ideals]
     assert len(homology._oracle_cache) <= 2
+    assert 0 < len(homology._degree_memo) <= 2
     assert ("koszul", ideals[0].exps, None) not in homology._oracle_cache
     again = betti_koszul(ideals[0])
     assert again is not tables[0] and again == tables[0]
     assert len(homology._oracle_cache) <= 2
 
-    # Threads evicting from the one shared cache lose no table and raise nothing.
+    # Threads evicting from the one shared cache and the degree memo lose no
+    # table and raise nothing.
     errors = []
 
     def work():
@@ -543,6 +645,7 @@ def test_oracle_cache_is_bounded(ctx3, monkeypatch):
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert errors == [] and len(homology._oracle_cache) <= 2
+    assert len(homology._degree_memo) <= 2
 
 
 def test_koszul_budget(ctx3):
